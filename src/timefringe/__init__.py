@@ -10,8 +10,8 @@ from .estimates import (EstimateReport, compare_estimates,
                         crude_nonrelativistic_product, stueckelberg_product)
 from .experiments import (DESK_SCALE, FringeReport, IntensityTrace,
                           TwoGateConfig, TwoGateOutcome, extract_fringes,
-                          run_two_gate, two_gate_run, visibility_scan)
-from .kernels import (FloquetKernelSample, KernelSample, floquet_kernel,
+                          two_gate_run, visibility_scan)
+from .kernels import (FloquetKernelSample, floquet_kernel,
                       kernel_identity_limit, schrodinger_kernel,
                       stueckelberg_kernel)
 from .packets import (GaussianSpatialPacket, Grid1D, Grid2D, Moments,

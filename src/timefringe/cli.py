@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -22,8 +23,8 @@ from . import __version__
 from .errors import (ConfigError, DomainError, IoError, NoFringes,
                      ResolutionError, SingularKernel)
 from .estimates import compare_estimates, report_to_dict
-from .experiments import (IntensityTrace, extract_fringes, two_gate_run,
-                          visibility_scan)
+from .experiments import (SCAN_PARAMS, IntensityTrace, extract_fringes,
+                          two_gate_run, visibility_scan)
 from .propagation import SCHRODINGER, STUECKELBERG
 from .scenario import Scenario, parse_scenario
 from .svgplot import line_chart
@@ -35,6 +36,9 @@ EXIT_DOMAIN = 4
 EXIT_IO = 5
 
 _G = "{:.17g}".format
+
+_SCAN_HEADERS = {"gate_spacing": "gate_spacing epsilon (internal time)",
+                 "flight_distance": "flight_distance L (internal length)"}
 
 
 def _scenario_hash(scenario: Scenario) -> str:
@@ -179,35 +183,21 @@ def cmd_scan(args) -> int:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}")
     if len(values) < 2:
         raise ConfigError("--values needs at least 2 entries")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("--values must be finite numbers")
     t0 = time.perf_counter()
-
-    if args.param == "gate_spacing":
-        rows = visibility_scan(scenario.theory, cfg, values,
-                               scenario.analysis["threshold_fraction"],
-                               workers=args.workers)
-        param_header = "gate_spacing epsilon (internal time)"
-        params = values
-    elif args.param == "flight_distance":
-        rows = []
-        for L in values:
-            sub = visibility_scan(scenario.theory,
-                                  replace(cfg, flight_distance=L),
-                                  [cfg.gate_spacing, cfg.gate_spacing],
-                                  scenario.analysis["threshold_fraction"],
-                                  workers=1)
-            rows.append(sub[0])
-        param_header = "flight_distance L (internal length)"
-        params = values
-    else:
-        raise ConfigError("--param must be gate_spacing or flight_distance")
+    rows = visibility_scan(scenario.theory, cfg, values,
+                           scenario.analysis["threshold_fraction"],
+                           workers=args.workers, param=args.param)
 
     out = _out_dir(args)
     with open(out / "scan.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow([param_header, "interference visibility (dimensionless)",
+        w.writerow([_SCAN_HEADERS[args.param],
+                    "interference visibility (dimensionless)",
                     "spacing_T (internal time)", "error"])
-        for p, row in zip(params, rows):
-            w.writerow([_G(p), _G(row.visibility),
+        for row in rows:
+            w.writerow([_G(row.value), _G(row.visibility),
                         "" if row.spacing_T is None else _G(row.spacing_T),
                         row.error or ""])
     _write_report(out, {
@@ -215,15 +205,15 @@ def cmd_scan(args) -> int:
         "scenario": scenario.to_dict(),
         "scenario_hash": _scenario_hash(scenario),
         "param": args.param,
-        "values": params,
-        "rows": [{"param": p, "visibility": r.visibility,
+        "values": values,
+        "rows": [{"param": r.value, "visibility": r.visibility,
                   "spacing_T": r.spacing_T, "error": r.error}
-                 for p, r in zip(params, rows)],
+                 for r in rows],
         "wall_time_s": time.perf_counter() - t0,
     })
-    for p, row in zip(params, rows):
+    for row in rows:
         spacing = "n/a" if row.spacing_T is None else f"{row.spacing_T:.6g}"
-        print(f"{args.param}={p:g} visibility={row.visibility:.6g} "
+        print(f"{args.param}={row.value:g} visibility={row.visibility:.6g} "
               f"spacing_T={spacing}" + (f" error={row.error}" if row.error else ""))
     return EXIT_OK
 
@@ -239,8 +229,12 @@ def cmd_fringes(args) -> int:
         if header is None:
             raise ConfigError("trace CSV is empty")
         for row in reader:
-            times.append(float(row[0]))
-            intensity.append(float(row[1]))
+            try:
+                times.append(float(row[0]))
+                intensity.append(float(row[1]))
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"trace CSV line {reader.line_num}: expected"
+                                  f" two numbers, got {row!r}") from exc
     trace = IntensityTrace(times=np.asarray(times),
                            intensity=np.asarray(intensity),
                            detector_x=float("nan"), theory="reanalysis")
@@ -294,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", parents=[common],
                             help="scan a parameter and tabulate fringes")
-    p_scan.add_argument("--param", required=True,
-                        choices=["gate_spacing", "flight_distance"])
+    p_scan.add_argument("--param", required=True, choices=SCAN_PARAMS)
     p_scan.add_argument("--values", required=True,
                         help="comma-separated values")
     p_scan.add_argument("--workers", type=int, default=1)

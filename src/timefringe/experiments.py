@@ -24,11 +24,11 @@ import numpy as np
 from .errors import DomainError, NoFringes, OverlapWarning
 from .packets import (GAUSSIAN, GATE_PROFILES, GaussianSpatialPacket,
                       SpacetimePacket, TimeGate)
-from .propagation import (CLOSED_FORM, ENGINES, FLOQUET, SCHRODINGER,
-                          STUECKELBERG, THEORIES, PropagationResult,
-                          auto_output_grid, propagate_component,
-                          propagate_floquet, propagate_stueckelberg,
-                          spatial_component)
+from .propagation import (CLOSED_FORM, ENGINES, SCHRODINGER, STUECKELBERG,
+                          THEORIES, auto_output_grid, propagate_component,
+                          propagate_spacetime, spatial_component)
+# perfbench/tracing.py wraps these two by name in this module.
+from .propagation import propagate_floquet, propagate_stueckelberg  # noqa
 
 
 @dataclass(frozen=True)
@@ -149,16 +149,6 @@ class TwoGateOutcome:
     config: TwoGateConfig = field(repr=False, default=DESK_SCALE)
 
 
-def _single_gate_packets(packet: SpacetimePacket) -> list:
-    """Split into per-gate packets keeping the joint normalization."""
-    return [replace(packet, gates=(g,)) for g in packet.gates]
-
-
-def _detector_column(result: PropagationResult, detector_x: float):
-    ix = int(np.argmin(np.abs(result.grid.x - detector_x)))
-    return ix, np.abs(result.field[ix, :]) ** 2
-
-
 def _schrodinger_control_traces(cfg: TwoGateConfig):
     """Each gate's pulse propagated separately; intensities added.
 
@@ -171,7 +161,6 @@ def _schrodinger_control_traces(cfg: TwoGateConfig):
                                     mean_momentum_p0=cfg.momentum)
     comp0 = spatial_component(spatial, cfg.hbar)
     t_flight = cfg.mass * cfg.flight_distance / cfg.momentum
-    gate_times = [0.0, cfg.gate_spacing]
 
     spread = propagate_component(comp0, cfg.mass, t_flight, cfg.hbar)
     sigma_arrival = (spread.intensity_sigma * cfg.mass / cfg.momentum)
@@ -180,17 +169,14 @@ def _schrodinger_control_traces(cfg: TwoGateConfig):
     n_t = cfg.n_t or 2049
     times = np.linspace(center - half, center + half, n_t)
 
-    intensity = np.zeros_like(times)
-    det = cfg.detector
-    for t_gate in gate_times:
-        for i, t in enumerate(times):
-            elapsed = t - t_gate
-            if elapsed <= 0:
-                continue
-            comp = propagate_component(comp0, cfg.mass, elapsed, cfg.hbar)
-            intensity[i] += 0.5 * float(np.abs(comp(det)) ** 2)
-    trace = IntensityTrace(times=times, intensity=intensity,
-                           detector_x=det, theory=SCHRODINGER)
+    # one row per gate: each pulse reaches the detector after it opens
+    elapsed = times - np.array([[0.0], [cfg.gate_spacing]])
+    later = elapsed > 0
+    comp = propagate_component(comp0, cfg.mass, elapsed[later], cfg.hbar)
+    pulses = np.zeros(elapsed.shape)
+    pulses[later] = 0.5 * np.abs(comp(cfg.detector)) ** 2
+    trace = IntensityTrace(times=times, intensity=pulses[0] + pulses[1],
+                           detector_x=cfg.detector, theory=SCHRODINGER)
     return trace, trace
 
 
@@ -213,19 +199,14 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
     packet = build_packet(cfg)
     grid = auto_output_grid(packet, theory, s, cfg.mass, cfg.c, cfg.hbar,
                             n_x=cfg.n_x, n_t=cfg.n_t)
-
-    def run(p):
-        if theory == FLOQUET:
-            return propagate_floquet(p, s, cfg.engine, grid=grid,
-                                     mass=cfg.mass, hbar=cfg.hbar)
-        return propagate_stueckelberg(p, s, cfg.engine, grid=grid,
-                                      mass=cfg.mass, c=cfg.c, hbar=cfg.hbar)
-
-    coherent = run(packet)
-    ix, intensity = _detector_column(coherent, cfg.detector)
-    inc_intensity = np.zeros_like(intensity)
-    for sub in _single_gate_packets(packet):
-        inc_intensity += _detector_column(run(sub), cfg.detector)[1]
+    result = propagate_spacetime(packet, theory, s, cfg.engine, grid=grid,
+                                 mass=cfg.mass, c=cfg.c, hbar=cfg.hbar)
+    # the field is X(x) sum_k T_k(t); the incoherent reference drops the
+    # cross terms between gates
+    ix = int(np.argmin(np.abs(grid.x - cfg.detector)))
+    x_d = result.spatial[ix]
+    intensity = np.abs(x_d * sum(result.temporal)) ** 2
+    inc_intensity = sum(np.abs(x_d * tk) ** 2 for tk in result.temporal)
 
     peak_inc = float(np.max(inc_intensity))
     cross = float(np.max(np.abs(intensity - inc_intensity)))
@@ -240,12 +221,8 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
                  and cfg.gate_spacing > 0 else None)
     return TwoGateOutcome(trace=trace, incoherent_trace=inc_trace,
                           interference_visibility=visibility,
-                          norm_drift=coherent.norm_drift, s_elapsed=s,
+                          norm_drift=result.norm_drift, s_elapsed=s,
                           predicted_spacing=predicted, config=cfg)
-
-
-def run_two_gate(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> IntensityTrace:
-    return two_gate_run(theory, cfg).trace
 
 
 def _refine_peak(times, intensity, i: int) -> float:
@@ -297,27 +274,32 @@ def extract_fringes(trace: IntensityTrace, threshold_fraction: float = 0.1,
                         visibility=visibility, relative_error=rel)
 
 
+SCAN_PARAMS = ("gate_spacing", "flight_distance")
+
+
 @dataclass(frozen=True)
 class ScanRow:
-    epsilon: float
+    value: float
     visibility: float
     spacing_T: float | None
     error: str | None
 
 
-def visibility_scan(theory: str, cfg: TwoGateConfig, epsilon_values,
-                    threshold_fraction: float = 0.1,
-                    workers: int = 1) -> list:
-    """Two-gate run and fringe extraction per gate spacing; per-row failures
-    are recorded in the row and the scan continues. Rows come back in input
-    order regardless of worker count."""
-    epsilon_values = list(epsilon_values)
-    if len(epsilon_values) < 2:
-        raise DomainError("scan needs at least 2 epsilon values")
+def visibility_scan(theory: str, cfg: TwoGateConfig, values,
+                    threshold_fraction: float = 0.1, workers: int = 1,
+                    param: str = "gate_spacing") -> list:
+    """Two-gate run and fringe extraction per value of the config field
+    param; per-row failures are recorded in the row and the scan continues.
+    Rows come back in input order regardless of worker count."""
+    if param not in SCAN_PARAMS:
+        raise DomainError(f"scan param must be one of {SCAN_PARAMS}")
+    values = list(values)
+    if len(values) < 2:
+        raise DomainError("scan needs at least 2 values")
 
-    def one(eps: float) -> ScanRow:
+    def one(value: float) -> ScanRow:
         try:
-            outcome = two_gate_run(theory, replace(cfg, gate_spacing=eps))
+            outcome = two_gate_run(theory, replace(cfg, **{param: value}))
             spacing = None
             err = None
             try:
@@ -325,14 +307,14 @@ def visibility_scan(theory: str, cfg: TwoGateConfig, epsilon_values,
                                           outcome.predicted_spacing).spacing_T
             except NoFringes as exc:
                 err = f"NoFringes: {exc}"
-            return ScanRow(epsilon=eps,
+            return ScanRow(value=value,
                            visibility=outcome.interference_visibility,
                            spacing_T=spacing, error=err)
         except Exception as exc:  # per-row isolation, scan continues
-            return ScanRow(epsilon=eps, visibility=float("nan"),
+            return ScanRow(value=value, visibility=float("nan"),
                            spacing_T=None, error=f"{type(exc).__name__}: {exc}")
 
     if workers <= 1:
-        return [one(e) for e in epsilon_values]
+        return [one(v) for v in values]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, epsilon_values))
+        return list(pool.map(one, values))

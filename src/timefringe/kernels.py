@@ -20,14 +20,6 @@ from .errors import DomainError, SingularKernel
 
 
 @dataclass(frozen=True)
-class KernelSample:
-    value: complex
-    displacement_x: float
-    displacement_t: float
-    evolution_param: float
-
-
-@dataclass(frozen=True)
 class FloquetKernelSample:
     """Delta-factored covariant kernel: spatial factor times delta(t'-t+s).
 

@@ -78,12 +78,14 @@ class SpacetimePacket:
         if len(self.gates) < 1:
             raise DomainError("SpacetimePacket needs at least one gate")
 
-    def gate_sum(self, t, hbar: float = 1.0):
+    def gate_terms(self, t, hbar: float = 1.0) -> list:
+        """Each gate's envelope times the carrier; they sum to gate_sum."""
         t = np.asarray(t, dtype=float)
-        total = np.zeros(t.shape, dtype=complex)
-        for g in self.gates:
-            total = total + g.envelope(t)
-        return total * np.exp(-1j * self.mean_energy_E0 * t / hbar)
+        carrier = np.exp(-1j * self.mean_energy_E0 * t / hbar)
+        return [g.envelope(t) * carrier for g in self.gates]
+
+    def gate_sum(self, t, hbar: float = 1.0):
+        return sum(self.gate_terms(t, hbar))
 
     def temporal_norm2(self) -> float:
         """Closed-form (Gaussian) or fine-quadrature (rectangular) value of

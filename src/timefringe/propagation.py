@@ -24,8 +24,7 @@ from .errors import DomainError, ResolutionError
 from .kernels import axis_prefactor
 from .numerics import simpson_weights
 from .packets import (GAUSSIAN, GaussianSpatialPacket, Grid1D, Grid2D,
-                      SpacetimePacket, evaluate_packet, expectations,
-                      field_norm2, packet_on_grid)
+                      SpacetimePacket, expectations)
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -41,7 +40,8 @@ MIN_SAMPLES_PER_CYCLE = 8  # below this the quadrature silently decoheres
 
 @dataclass(frozen=True)
 class GaussianComponent1D:
-    """f(u) = exp(logamp - a u^2 + b u) with Re(a) > 0."""
+    """f(u) = exp(logamp - a u^2 + b u) with Re(a) > 0; the fields are
+    arrays when propagated over an array of s."""
 
     logamp: complex
     a: complex
@@ -72,20 +72,20 @@ def gaussian_component(center: float, width: float, wavenumber: float = 0.0,
         a=complex(a), b=complex(b))
 
 
-def propagate_component(comp: GaussianComponent1D, mu: float, s: float,
+def propagate_component(comp: GaussianComponent1D, mu: float, s,
                         hbar: float = 1.0) -> GaussianComponent1D:
-    """Apply the per-axis kernel with effective mass mu for parameter s."""
+    """Apply the per-axis kernel with effective mass mu for parameter s
+    (a number, or an array of them)."""
     beta = mu / (2.0 * hbar * s)
     gamma = comp.a - 1j * beta
-    if gamma.real <= 0:
+    if np.any(gamma.real <= 0):
         raise DomainError("non-normalizable component: Re(gamma) <= 0")
-    log_c = np.log(complex(axis_prefactor(mu, s, hbar)))
+    log_c = np.log(axis_prefactor(mu, s, hbar))
     logamp = (comp.logamp + log_c + 0.5 * np.log(np.pi / gamma)
               + comp.b * comp.b / (4.0 * gamma))
     a_new = -1j * beta + beta * beta / gamma
     b_new = -1j * beta * comp.b / gamma
-    return GaussianComponent1D(logamp=complex(logamp), a=complex(a_new),
-                               b=complex(b_new))
+    return GaussianComponent1D(logamp=logamp, a=a_new, b=b_new)
 
 
 def component_overlap(f: GaussianComponent1D,
@@ -119,53 +119,33 @@ def gate_component(gate, mean_energy: float,
         a=comp.a, b=comp.b)
 
 
-@dataclass(frozen=True)
-class SeparableTerm:
-    x: GaussianComponent1D
-    t: GaussianComponent1D
-
-
-def packet_terms(packet: SpacetimePacket, hbar: float = 1.0) -> list:
-    xc = spatial_component(packet.spatial, hbar)
-    return [SeparableTerm(x=xc, t=gate_component(g, packet.mean_energy_E0, hbar))
-            for g in packet.gates]
-
-
-def propagate_terms(terms: list, theory: str, s: float, mass: float = 1.0,
-                    c: float = 1.0, hbar: float = 1.0) -> list:
+def time_mass(theory: str, mass: float = 1.0, c: float = 1.0) -> float | None:
+    """The theory's time rule: spreading each gate with effective mass
+    -M c^2 (covariant), or None for a rigid shift by s (time-shift)."""
+    if theory == FLOQUET:
+        return None
     if theory == STUECKELBERG:
-        return [SeparableTerm(x=propagate_component(tm.x, mass, s, hbar),
-                              t=propagate_component(tm.t, -mass * c * c, s, hbar))
-                for tm in terms]
-    raise DomainError(f"propagate_terms supports stueckelberg only, got {theory}")
-
-
-def evaluate_terms(terms: list, x, t) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    field = np.zeros((x.size, t.size), dtype=complex)
-    for tm in terms:
-        field += np.outer(tm.x(x), tm.t(t))
-    return field
-
-
-def terms_norm2(terms: list) -> float:
-    total = 0.0 + 0.0j
-    for tj in terms:
-        for tk in terms:
-            total += (component_overlap(tj.x, tk.x)
-                      * component_overlap(tj.t, tk.t))
-    return float(total.real)
+        return -mass * c * c
+    raise DomainError(f"no space-time propagation for theory {theory!r}")
 
 
 @dataclass(frozen=True)
 class PropagationResult:
-    field: np.ndarray
+    """A propagated field in factored form: the spatial factor on grid.x
+    times the sum of the per-gate temporal factors on grid.t, if any."""
+
+    spatial: np.ndarray
     grid: object                 # Grid1D or Grid2D
     norm_before: float
     norm_after: float
     engine: str
-    terms: list | None = None    # closed-form representation when available
+    temporal: tuple = ()
+
+    @property
+    def field(self) -> np.ndarray:
+        if not self.temporal:
+            return self.spatial
+        return np.outer(self.spatial, sum(self.temporal))
 
     @property
     def norm_drift(self) -> float:
@@ -190,28 +170,65 @@ def _required_samples(k_max: float, span: float,
     return _odd(max(33, int(math.ceil(cycles * samples_per_cycle)) + 1))
 
 
-def _check_quadrature_resolution(axis: str, n: int, span: float,
-                                 k_max: float) -> None:
-    if n < 2:
-        raise ResolutionError(f"{axis} grid needs >= 2 points")
-    h = span / (n - 1)
+def _closed_form_axis(comps: list, out: np.ndarray, mu: float, s: float,
+                      hbar: float):
+    """Propagate the Gaussian components of one axis in closed form: their
+    values on out and the exact norm^2 of their sum before and after."""
+    moved = [propagate_component(cp, mu, s, hbar) for cp in comps]
+    before, after = (float(sum(component_overlap(f, g)
+                               for f in cs for g in cs).real)
+                     for cs in (comps, moved))
+    return [m(out) for m in moved], before, after
+
+
+def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
+                     n_in: int, grow: bool, mu: float, s: float, hbar: float,
+                     k0: float, samples_per_cycle: float, axis: str):
+    """Propagate the functions sources(u) of one axis by Simpson quadrature
+    over n_in samples u of [lo, hi], raised to resolve the kernel chirp when
+    grow is set: their values on out and the grid norm^2 of their sum before
+    and after. k0 is the largest wavenumber of the input functions."""
+    k_max = (abs(mu) * max(abs(out[-1] - lo), abs(out[0] - hi))
+             / (hbar * s) + k0)
+    span = hi - lo
+    if grow:
+        n_in = max(n_in, _required_samples(k_max, span, samples_per_cycle))
+    h = span / (n_in - 1)
     if k_max * h > 2.0 * math.pi / MIN_SAMPLES_PER_CYCLE:
         need = _required_samples(k_max, span, MIN_SAMPLES_PER_CYCLE)
-        kwargs = {"required_n_x": need} if axis == "x" else {"required_n_t": need}
         raise ResolutionError(
             f"{axis} grid gives {2 * math.pi / (k_max * h):.2f} samples per "
             f"kernel-phase cycle (< {MIN_SAMPLES_PER_CYCLE}); need n >= {need}",
-            **kwargs)
+            **{f"required_n_{axis}": need})
+    u = np.linspace(lo, hi, n_in)
+    values_in = sources(u)
+    w_in = simpson_weights(n_in, u[1] - u[0])
+    du = np.subtract.outer(out, u)
+    op = 1j * mu * du  # K[i, j] w_j, built in place: one complex n_out x n_in
+    op *= du
+    op /= 2.0 * hbar * s
+    np.exp(op, out=op)
+    op *= complex(axis_prefactor(mu, s, hbar))
+    op *= w_in
+    values = [op @ v for v in values_in]
+    w_out = simpson_weights(len(out), out[1] - out[0])
+    return (values, float(w_in @ np.abs(sum(values_in)) ** 2),
+            float(w_out @ np.abs(sum(values)) ** 2))
 
 
-def _axis_operator(x_out: np.ndarray, x_in: np.ndarray, mu: float, s: float,
-                   hbar: float) -> np.ndarray:
-    """Weighted kernel matrix for one axis: K[i, j] w_j."""
-    pref = complex(axis_prefactor(mu, s, hbar))
-    du = x_out[:, None] - x_in[None, :]
-    k = pref * np.exp(1j * mu * du * du / (2.0 * hbar * s))
-    w = simpson_weights(len(x_in), x_in[1] - x_in[0])
-    return k * w[None, :]
+def _spatial_factor(spatial: GaussianSpatialPacket, x: np.ndarray, s: float,
+                    engine: str, input_grid, grow: bool, mass: float,
+                    hbar: float, samples_per_cycle: float):
+    """X(x) after spreading with mass M for s, and its norm^2 before/after."""
+    if engine == CLOSED_FORM:
+        (values,), before, after = _closed_form_axis(
+            [spatial_component(spatial, hbar)], x, mass, s, hbar)
+    else:
+        (values,), before, after = _quadrature_axis(
+            lambda u: [spatial.amplitude(u, hbar)], x, input_grid.x_min,
+            input_grid.x_max, input_grid.n_x, grow, mass, s, hbar,
+            abs(spatial.mean_momentum_p0) / hbar, samples_per_cycle, "x")
+    return values, before, after
 
 
 # ---------------------------------------------------------------- Schrodinger
@@ -226,7 +243,7 @@ def schrodinger_closed_form(packet: GaussianSpatialPacket, t_elapsed: float,
 
 
 def auto_grid_1d(packet: GaussianSpatialPacket, t_elapsed: float,
-                 mass: float = 1.0, hbar: float = 1.0, n_x: int | None = None,
+                 mass: float = 1.0, hbar: float = 1.0,
                  pad_sigmas: float = 6.5) -> Grid1D:
     comp = schrodinger_closed_form(packet, t_elapsed, mass, hbar)
     mean, sig = comp.intensity_mean, comp.intensity_sigma
@@ -234,12 +251,11 @@ def auto_grid_1d(packet: GaussianSpatialPacket, t_elapsed: float,
              packet.center_x - pad_sigmas * packet.width_sigma_x)
     hi = max(mean + pad_sigmas * sig,
              packet.center_x + pad_sigmas * packet.width_sigma_x)
-    if n_x is None:
-        k_max = (abs(mass) * (hi - lo) / (hbar * abs(t_elapsed))
-                 if t_elapsed else 0.0)
-        k_max += abs(packet.mean_momentum_p0) / hbar
-        n_x = _required_samples(k_max, hi - lo, 16.0)
-    return Grid1D(x_min=lo, x_max=hi, n_x=n_x)
+    k_max = (abs(mass) * (hi - lo) / (hbar * abs(t_elapsed))
+             if t_elapsed else 0.0)
+    k_max += abs(packet.mean_momentum_p0) / hbar
+    return Grid1D(x_min=lo, x_max=hi,
+                  n_x=_required_samples(k_max, hi - lo, 16.0))
 
 
 def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
@@ -255,58 +271,31 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
         raise DomainError(f"engine must be one of {ENGINES}")
     if grid is None:
         grid = auto_grid_1d(packet, t_elapsed, mass, hbar)
-    x = grid.x
-    wx_out = simpson_weights(grid.n_x, grid.dx)
-    comp0 = spatial_component(packet, hbar)
-
     if t_elapsed == 0.0:
-        field = comp0(x)
-        n2 = float(wx_out @ np.abs(field) ** 2)
-        return PropagationResult(field=field, grid=grid, norm_before=n2,
-                                 norm_after=n2, engine=engine, terms=None)
-
-    if engine == CLOSED_FORM:
-        comp = propagate_component(comp0, mass, t_elapsed, hbar)
-        field = comp(x)
-        n_before = float(component_overlap(comp0, comp0).real)
-        n_after = float(component_overlap(comp, comp).real)
-        return PropagationResult(field=field, grid=grid, norm_before=n_before,
-                                 norm_after=n_after, engine=engine,
-                                 terms=[comp])
-
-    if input_grid is None:
-        w = packet.width_sigma_x
-        lo = packet.center_x - 7.5 * w
-        hi = packet.center_x + 7.5 * w
-        k_max = (abs(mass) * (max(grid.x_max, hi) - min(grid.x_min, lo))
-                 / (hbar * t_elapsed)) + abs(packet.mean_momentum_p0) / hbar
-        input_grid = Grid1D(lo, hi, _required_samples(k_max, hi - lo,
-                                                      samples_per_cycle))
-    x_in = input_grid.x
-    k_max = (abs(mass) * float(np.max(np.abs(x[:, None] - x_in[None, :])))
-             / (hbar * t_elapsed)) + abs(packet.mean_momentum_p0) / hbar
-    _check_quadrature_resolution("x", input_grid.n_x,
-                                 input_grid.x_max - input_grid.x_min, k_max)
-    psi_in = comp0(x_in)
-    op = _axis_operator(x, x_in, mass, t_elapsed, hbar)
-    field = op @ psi_in
-    w_in = simpson_weights(input_grid.n_x, input_grid.dx)
-    n_before = float(w_in @ np.abs(psi_in) ** 2)
-    n_after = float(wx_out @ np.abs(field) ** 2)
-    return PropagationResult(field=field, grid=grid, norm_before=n_before,
-                             norm_after=n_after, engine=engine, terms=None)
+        field = spatial_component(packet, hbar)(grid.x)
+        n2 = float(simpson_weights(grid.n_x, grid.dx) @ np.abs(field) ** 2)
+        return PropagationResult(spatial=field, grid=grid, norm_before=n2,
+                                 norm_after=n2, engine=engine)
+    lo = packet.center_x - 7.5 * packet.width_sigma_x
+    hi = packet.center_x + 7.5 * packet.width_sigma_x
+    spatial, n_before, n_after = _spatial_factor(
+        packet, grid.x, t_elapsed, engine,
+        input_grid or Grid1D(lo, hi, 513), input_grid is None, mass, hbar,
+        samples_per_cycle)
+    return PropagationResult(spatial=spatial, grid=grid, norm_before=n_before,
+                             norm_after=n_after, engine=engine)
 
 
 # -------------------------------------------------------- Floquet/Stueckelberg
 
-def auto_input_grid(packet: SpacetimePacket, n_x: int = 0, n_t: int = 0,
+def auto_input_grid(packet: SpacetimePacket,
                     pad_sigmas: float = 7.5) -> Grid2D:
     w_x = packet.spatial.width_sigma_x
     lo_x = packet.spatial.center_x - pad_sigmas * w_x
     hi_x = packet.spatial.center_x + pad_sigmas * w_x
     lo_t = min(g.center_t - pad_sigmas * g.width_delta_t for g in packet.gates)
     hi_t = max(g.center_t + pad_sigmas * g.width_delta_t for g in packet.gates)
-    return Grid2D(lo_x, hi_x, n_x or 513, lo_t, hi_t, n_t or 513)
+    return Grid2D(lo_x, hi_x, 513, lo_t, hi_t, 513)
 
 
 def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
@@ -315,39 +304,75 @@ def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
                      pad_sigmas: float = 6.5,
                      samples_per_cycle: float = 16.0) -> Grid2D:
     """Grid covering the propagated envelope and resolving its chirp."""
+    mu_t = time_mass(theory, mass, c)
     xc = propagate_component(spatial_component(packet.spatial, hbar),
                              mass, s, hbar)
     lo_x = xc.intensity_mean - pad_sigmas * xc.intensity_sigma
     hi_x = xc.intensity_mean + pad_sigmas * xc.intensity_sigma
-    if theory == FLOQUET:
+    if mu_t is None:
         lo_t = min(g.center_t - 1.25 * pad_sigmas * g.width_delta_t
                    for g in packet.gates) + s
         hi_t = max(g.center_t + 1.25 * pad_sigmas * g.width_delta_t
                    for g in packet.gates) + s
-    elif theory == STUECKELBERG:
+        if n_t is None:
+            w_min = min(g.width_delta_t for g in packet.gates)
+            n_t = _odd(max(129, int(math.ceil((hi_t - lo_t) / (w_min / 12.0)))))
+    else:
         tcs = [propagate_component(gate_component(g, packet.mean_energy_E0, hbar),
-                                   -mass * c * c, s, hbar)
+                                   mu_t, s, hbar)
                for g in packet.gates]
         lo_t = min(tc.intensity_mean - pad_sigmas * tc.intensity_sigma
                    for tc in tcs)
         hi_t = max(tc.intensity_mean + pad_sigmas * tc.intensity_sigma
                    for tc in tcs)
-    else:
-        raise DomainError(f"no space-time grid for theory {theory!r}")
+        if n_t is None:
+            k_max = (abs(mu_t) * (hi_t - lo_t) / (hbar * abs(s))
+                     + abs(packet.mean_energy_E0) / hbar)
+            n_t = min(2048, _required_samples(k_max, hi_t - lo_t,
+                                              samples_per_cycle))
     if n_x is None:
         k_max = (abs(mass) * (hi_x - lo_x) / (hbar * abs(s))
                  + abs(packet.spatial.mean_momentum_p0) / hbar)
         n_x = min(2048, _required_samples(k_max, hi_x - lo_x, samples_per_cycle))
-    if n_t is None:
-        if theory == FLOQUET:
-            w_min = min(g.width_delta_t for g in packet.gates)
-            n_t = _odd(max(129, int(math.ceil((hi_t - lo_t) / (w_min / 12.0)))))
-        else:
-            k_max = (mass * c * c * (hi_t - lo_t) / (hbar * abs(s))
-                     + abs(packet.mean_energy_E0) / hbar)
-            n_t = min(2048, _required_samples(k_max, hi_t - lo_t,
-                                              samples_per_cycle))
     return Grid2D(lo_x, hi_x, n_x, lo_t, hi_t, n_t)
+
+
+def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
+                        engine: str = CLOSED_FORM, grid: Grid2D | None = None,
+                        input_grid: Grid2D | None = None, mass: float = 1.0,
+                        c: float = 1.0, hbar: float = 1.0,
+                        samples_per_cycle: float = 48.0) -> PropagationResult:
+    """Propagate a space-time packet by s under the time-shift (Floquet) or
+    covariant (Stueckelberg) theory. The field stays rank-1: the spatial
+    factor spreads with mass M under both, and each gate is either shifted
+    rigidly by s (exact under either engine) or spread with mass -M c^2."""
+    if s <= 0:
+        raise DomainError("s must be > 0")
+    if engine not in ENGINES:
+        raise DomainError(f"engine must be one of {ENGINES}")
+    mu_t = time_mass(theory, mass, c)
+    if grid is None:
+        grid = auto_output_grid(packet, theory, s, mass, c, hbar)
+    grow = input_grid is None
+    ig = auto_input_grid(packet) if grow else input_grid
+    spatial, nx_before, nx_after = _spatial_factor(
+        packet.spatial, grid.x, s, engine, ig, grow, mass, hbar,
+        samples_per_cycle)
+    if mu_t is None:
+        temporal = packet.gate_terms(grid.t - s, hbar)
+        nt_before = nt_after = packet.temporal_norm2()
+    elif engine == CLOSED_FORM:
+        temporal, nt_before, nt_after = _closed_form_axis(
+            [gate_component(g, packet.mean_energy_E0, hbar)
+             for g in packet.gates], grid.t, mu_t, s, hbar)
+    else:
+        temporal, nt_before, nt_after = _quadrature_axis(
+            lambda u: packet.gate_terms(u, hbar), grid.t, ig.t_min, ig.t_max,
+            ig.n_t, grow, mu_t, s, hbar, abs(packet.mean_energy_E0) / hbar,
+            samples_per_cycle, "t")
+    return PropagationResult(spatial=spatial, temporal=tuple(temporal),
+                             grid=grid, norm_before=nx_before * nt_before,
+                             norm_after=nx_after * nt_after, engine=engine)
 
 
 def propagate_floquet(packet: SpacetimePacket, delta_s: float,
@@ -355,47 +380,10 @@ def propagate_floquet(packet: SpacetimePacket, delta_s: float,
                       input_grid: Grid2D | None = None, mass: float = 1.0,
                       hbar: float = 1.0,
                       samples_per_cycle: float = 48.0) -> PropagationResult:
-    """Exact time shift by delta_s composed with spatial free propagation.
-
-    The delta constraint is applied analytically: the temporal factor of the
-    output is the input gate structure evaluated at t - delta_s, so the
-    temporal intensity marginal shifts without changing shape.
-    """
-    if delta_s <= 0:
-        raise DomainError("delta_s must be > 0")
-    if engine not in ENGINES:
-        raise DomainError(f"engine must be one of {ENGINES}")
-    if grid is None:
-        grid = auto_output_grid(packet, FLOQUET, delta_s, mass, 1.0, hbar)
-    x, t = grid.x, grid.t
-    temporal = packet.gate_sum(t - delta_s, hbar)
-    n_before = packet.temporal_norm2()  # spatial factor is unit-norm
-
-    if engine == CLOSED_FORM:
-        xc = propagate_component(spatial_component(packet.spatial, hbar),
-                                 mass, delta_s, hbar)
-        field = np.outer(xc(x), temporal)
-        n_after = (float(component_overlap(xc, xc).real)
-                   * packet.temporal_norm2())
-    else:
-        auto = input_grid is None
-        if auto:
-            input_grid = auto_input_grid(packet)
-        x_in = input_grid.x
-        k_max = (abs(mass) * float(np.max(np.abs(x[:, None] - x_in[None, :])))
-                 / (hbar * delta_s)
-                 + abs(packet.spatial.mean_momentum_p0) / hbar)
-        span = input_grid.x_max - input_grid.x_min
-        needed = _required_samples(k_max, span, samples_per_cycle)
-        if auto and input_grid.n_x < needed:
-            x_in = np.linspace(input_grid.x_min, input_grid.x_max, needed)
-        _check_quadrature_resolution("x", len(x_in), span, k_max)
-        op = _axis_operator(x, x_in, mass, delta_s, hbar)
-        spatial = op @ packet.spatial.amplitude(x_in, hbar)
-        field = np.outer(spatial, temporal)
-        n_after = field_norm2(np.abs(field) ** 2, grid)
-    return PropagationResult(field=field, grid=grid, norm_before=n_before,
-                             norm_after=n_after, engine=engine, terms=None)
+    """Exact time shift by delta_s composed with spatial free propagation:
+    the temporal intensity marginal shifts without changing shape."""
+    return propagate_spacetime(packet, FLOQUET, delta_s, engine, grid,
+                               input_grid, mass, 1.0, hbar, samples_per_cycle)
 
 
 def propagate_stueckelberg(packet: SpacetimePacket, s_elapsed: float,
@@ -406,54 +394,8 @@ def propagate_stueckelberg(packet: SpacetimePacket, s_elapsed: float,
                            samples_per_cycle: float = 48.0) -> PropagationResult:
     """Covariant evolution: both axes spread, the time axis with effective
     mass -M c^2, which is what chirps the gates and produces temporal fringes."""
-    if s_elapsed <= 0:
-        raise DomainError("s_elapsed must be > 0")
-    if engine not in ENGINES:
-        raise DomainError(f"engine must be one of {ENGINES}")
-    if grid is None:
-        grid = auto_output_grid(packet, STUECKELBERG, s_elapsed, mass, c, hbar)
-
-    if engine == CLOSED_FORM:
-        terms0 = packet_terms(packet, hbar)
-        terms = propagate_terms(terms0, STUECKELBERG, s_elapsed, mass, c, hbar)
-        field = evaluate_terms(terms, grid.x, grid.t)
-        return PropagationResult(field=field, grid=grid,
-                                 norm_before=terms_norm2(terms0),
-                                 norm_after=terms_norm2(terms),
-                                 engine=engine, terms=terms)
-
-    auto = input_grid is None
-    if auto:
-        input_grid = auto_input_grid(packet)
-    x_in, t_in = input_grid.x, input_grid.t
-    span_x = input_grid.x_max - input_grid.x_min
-    span_t = input_grid.t_max - input_grid.t_min
-    kx_max = (abs(mass) * float(max(abs(grid.x_max - input_grid.x_min),
-                                    abs(grid.x_min - input_grid.x_max)))
-              / (hbar * s_elapsed)
-              + abs(packet.spatial.mean_momentum_p0) / hbar)
-    kt_max = (mass * c * c * float(max(abs(grid.t_max - input_grid.t_min),
-                                       abs(grid.t_min - input_grid.t_max)))
-              / (hbar * s_elapsed) + abs(packet.mean_energy_E0) / hbar)
-    need_x = _required_samples(kx_max, span_x, samples_per_cycle)
-    need_t = _required_samples(kt_max, span_t, samples_per_cycle)
-    if auto and (input_grid.n_x < need_x or input_grid.n_t < need_t):
-        input_grid = Grid2D(input_grid.x_min, input_grid.x_max,
-                            max(input_grid.n_x, need_x),
-                            input_grid.t_min, input_grid.t_max,
-                            max(input_grid.n_t, need_t))
-        x_in, t_in = input_grid.x, input_grid.t
-    _check_quadrature_resolution("x", input_grid.n_x, span_x, kx_max)
-    _check_quadrature_resolution("t", input_grid.n_t, span_t, kt_max)
-
-    field_in = packet_on_grid(packet, input_grid, hbar)
-    op_x = _axis_operator(grid.x, x_in, mass, s_elapsed, hbar)
-    op_t = _axis_operator(grid.t, t_in, -mass * c * c, s_elapsed, hbar)
-    field = op_x @ field_in @ op_t.T
-    n_before = field_norm2(np.abs(field_in) ** 2, input_grid)
-    n_after = field_norm2(np.abs(field) ** 2, grid)
-    return PropagationResult(field=field, grid=grid, norm_before=n_before,
-                             norm_after=n_after, engine=engine, terms=None)
+    return propagate_spacetime(packet, STUECKELBERG, s_elapsed, engine, grid,
+                               input_grid, mass, c, hbar, samples_per_cycle)
 
 
 def hamilton_diagnostics(packet: SpacetimePacket, theory: str, s_samples,
@@ -468,21 +410,15 @@ def hamilton_diagnostics(packet: SpacetimePacket, theory: str, s_samples,
         raise DomainError("degenerate s samples")
     means_x, means_t = [], []
     for s in s_samples:
-        if theory == STUECKELBERG:
-            res = propagate_stueckelberg(packet, s, CLOSED_FORM,
-                                         mass=mass, c=c, hbar=hbar)
-        elif theory == FLOQUET:
-            res = propagate_floquet(packet, s, CLOSED_FORM,
-                                    mass=mass, hbar=hbar)
-        else:
-            raise DomainError(f"no Hamilton diagnostics for theory {theory!r}")
+        res = propagate_spacetime(packet, theory, s, CLOSED_FORM,
+                                  mass=mass, c=c, hbar=hbar)
         mom = expectations(res.field, res.grid, hbar)
         means_x.append(mom.mean_x)
         means_t.append(mom.mean_t)
     sx = float(np.polyfit(s_samples, means_x, 1)[0])
     st = float(np.polyfit(s_samples, means_t, 1)[0])
-    pred_t = (packet.mean_energy_E0 / (mass * c * c)
-              if theory == STUECKELBERG else 1.0)
+    mu_t = time_mass(theory, mass, c)
+    pred_t = 1.0 if mu_t is None else -packet.mean_energy_E0 / mu_t
     return HamiltonDiagnostics(
         slope_x=sx, slope_t=st,
         predicted_slope_x=packet.spatial.mean_momentum_p0 / mass,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from .errors import ConfigError, DomainError, IoError
 from .experiments import TwoGateConfig
 from .packets import GATE_PROFILES
 from .propagation import ENGINES, THEORIES
-from .units import MOMENTUM_MODELS, PhysicalSetup, UnitScales
+from .units import MOMENTUM_MODELS, PhysicalSetup
 
 _SETUP_DEFAULTS = {
     "wavelength_nm": 850.0,
@@ -83,12 +84,6 @@ class Scenario:
         except DomainError as exc:
             raise ConfigError(f"setup: {exc}") from exc
 
-    def unit_scales(self) -> UnitScales:
-        try:
-            return UnitScales(**self.scales)
-        except DomainError as exc:
-            raise ConfigError(f"scales: {exc}") from exc
-
     def two_gate_config(self) -> TwoGateConfig:
         p, sim, g = self.packet, self.sim, self.grid
         try:
@@ -138,6 +133,8 @@ def _require_number(section: str, key: str, value, positive=False,
         raise ConfigError(f"{section}.{key} must be a number")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite, got {value}")
     if positive and value <= 0:
         raise ConfigError(f"{section}.{key} must be > 0")
     if nonnegative and value < 0:

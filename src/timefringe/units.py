@@ -9,7 +9,7 @@ quantities like 1e-30 s^2 never appear in intermediate products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -143,7 +143,3 @@ def from_internal(internal: InternalSetup, scales: UnitScales) -> PhysicalSetup:
         gate_width=internal.gate_width * scales.time_scale,
         momentum_model=internal.momentum_model,
     )
-
-
-def with_model(setup: PhysicalSetup, model: str) -> PhysicalSetup:
-    return replace(setup, momentum_model=model)

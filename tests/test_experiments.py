@@ -7,10 +7,12 @@ import pytest
 from timefringe.errors import DomainError, NoFringes, OverlapWarning
 from timefringe.experiments import (DESK_SCALE, IntensityTrace, TwoGateConfig,
                                     build_packet, extract_fringes,
-                                    run_two_gate, two_gate_run,
-                                    visibility_scan)
+                                    two_gate_run, visibility_scan)
 from timefringe.packets import norm2, Grid2D
-from timefringe.propagation import FLOQUET, SCHRODINGER, STUECKELBERG
+from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
+                                    SCHRODINGER, STUECKELBERG,
+                                    auto_output_grid, propagate_floquet,
+                                    propagate_stueckelberg)
 
 
 class TestTwoGateConfig:
@@ -92,7 +94,7 @@ class TestTwoGateRun:
         # the mixed-state trace is a sum of two broad arrival envelopes and
         # carries no oscillation: at most two interior local maxima
         cfg = replace(DESK_SCALE, n_t=801)
-        trace = run_two_gate(SCHRODINGER, cfg)
+        trace = two_gate_run(SCHRODINGER, cfg).trace
         y = trace.intensity
         interior = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])
         significant = y[1:-1] >= 0.1 * np.max(y)
@@ -106,6 +108,35 @@ class TestTwoGateRun:
     def test_rejects_unknown_theory(self):
         with pytest.raises(DomainError):
             two_gate_run("bohmian")
+
+    @pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
+    @pytest.mark.parametrize("theory,profile", [
+        (FLOQUET, "gaussian"), (FLOQUET, "rectangular"),
+        (STUECKELBERG, "gaussian")])
+    def test_traces_match_full_field_reference(self, theory, profile, engine):
+        # reference: the detector column of the full two-gate field, and the
+        # sum of the columns of each single-gate packet's field
+        cfg = replace(DESK_SCALE, flight_distance=4.0, gate_profile=profile,
+                      engine=engine)
+        packet = build_packet(cfg)
+        s = cfg.s_star
+        grid = auto_output_grid(packet, theory, s)
+        ix = int(np.argmin(np.abs(grid.x - cfg.detector)))
+        run = propagate_floquet if theory == FLOQUET else propagate_stueckelberg
+
+        def column(pk):
+            return np.abs(run(pk, s, engine, grid=grid).field[ix]) ** 2
+
+        coherent = column(packet)
+        incoherent = sum(column(replace(packet, gates=(g,)))
+                         for g in packet.gates)
+        outcome = two_gate_run(theory, cfg)
+        np.testing.assert_array_equal(outcome.trace.times, grid.t)
+        np.testing.assert_allclose(outcome.trace.intensity, coherent, rtol=0,
+                                   atol=1e-12 * np.max(coherent))
+        np.testing.assert_allclose(outcome.incoherent_trace.intensity,
+                                   incoherent, rtol=0,
+                                   atol=1e-12 * np.max(incoherent))
 
     def test_deterministic(self):
         a = two_gate_run(STUECKELBERG)
@@ -181,7 +212,7 @@ class TestVisibilityScan:
     def test_rows_in_input_order(self):
         eps = [12.0, 24.0, 18.0]
         rows = visibility_scan(STUECKELBERG, DESK_SCALE, eps)
-        assert [r.epsilon for r in rows] == eps
+        assert [r.value for r in rows] == eps
         for row in rows:
             assert row.visibility >= 0.5
             assert row.spacing_T is not None

@@ -10,9 +10,10 @@ from timefringe.packets import (GaussianSpatialPacket, Grid1D, Grid2D,
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
                                     STUECKELBERG, auto_output_grid,
                                     gaussian_component, hamilton_diagnostics,
-                                    packet_terms, propagate_component,
-                                    propagate_floquet, propagate_schrodinger,
-                                    propagate_stueckelberg, terms_norm2)
+                                    propagate_component, propagate_floquet,
+                                    propagate_schrodinger,
+                                    propagate_stueckelberg,
+                                    schrodinger_closed_form)
 
 MASS = 1.0
 HBAR = 1.0
@@ -37,16 +38,14 @@ class TestSchrodinger:
         w = 1.0
         pk = GaussianSpatialPacket(0.0, w, 0.0)
         for t in (0.5, 2.0, 10.0):
-            res = propagate_schrodinger(pk, t)
-            comp = res.terms[0]
+            comp = schrodinger_closed_form(pk, t)
             expected = (w / math.sqrt(2)) * math.sqrt(1 + (t / w**2) ** 2)
             assert comp.intensity_sigma == pytest.approx(expected, rel=1e-12)
 
     def test_drift_at_group_velocity(self):
         pk = GaussianSpatialPacket(0.0, 1.0, 0.7)
-        res = propagate_schrodinger(pk, 3.0)
-        assert res.terms[0].intensity_mean == pytest.approx(0.7 * 3.0,
-                                                            rel=1e-12)
+        comp = schrodinger_closed_form(pk, 3.0)
+        assert comp.intensity_mean == pytest.approx(0.7 * 3.0, rel=1e-12)
 
     def test_norm_preserved_closed_form(self):
         pk = GaussianSpatialPacket(0.0, 1.0, 0.5)
@@ -140,7 +139,7 @@ class TestStueckelberg:
     def test_closed_form_norm_matches_grid_quadrature(self):
         pk = two_gate_packet()
         res = propagate_stueckelberg(pk, 10.0, CLOSED_FORM)
-        assert terms_norm2(packet_terms(pk)) == pytest.approx(1.0, rel=1e-12)
+        assert res.norm_before == pytest.approx(1.0, rel=1e-12)
         assert res.norm_after == pytest.approx(1.0, rel=1e-9)
 
     def test_hamilton_slopes(self):

@@ -1,8 +1,10 @@
 import csv
 import json
+import threading
 
 import pytest
 
+from timefringe import experiments
 from timefringe.cli import main
 from timefringe.errors import ConfigError, IoError
 from timefringe.scenario import Scenario, parse_scenario, scenario_from_dict
@@ -49,6 +51,21 @@ class TestScenarioSchema:
         assert cfg.gate_spacing == 24.0
         assert cfg.flight_distance == 4.0
         assert cfg.engine == "quadrature"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("command,section,key", [
+        ("simulate", "packet", "momentum"),
+        ("simulate", "sim", "detector_x"),
+        ("estimate", "setup", "wavelength_nm"),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys,
+                                               command, section, key, value):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({section: {key: value}}))
+        assert main([command, "--scenario", str(sc),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
 
     def test_parse_scenario_io(self, tmp_path):
         with pytest.raises(IoError):
@@ -136,11 +153,36 @@ class TestCliScan:
         r0, r1 = report["rows"]
         assert r1["spacing_T"] == pytest.approx(2 * r0["spacing_T"], rel=0.05)
 
+    def test_flight_distance_scan_runs_each_value_once(self, tmp_path,
+                                                       monkeypatch):
+        calls = []
+        lock = threading.Lock()
+        run = experiments.two_gate_run
+
+        def counted(theory, cfg):
+            with lock:
+                calls.append(cfg.flight_distance)
+            return run(theory, cfg)
+
+        monkeypatch.setattr(experiments, "two_gate_run", counted)
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert main(["scan", "--param", "flight_distance",
+                         "--values", "2,3,4", "--workers", str(workers),
+                         "--out", str(out)]) == 0
+            outputs.append((out / "scan.csv").read_bytes())
+        assert sorted(calls) == [2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
+        assert outputs[0] == outputs[1]
+
     def test_bad_values_rejected(self, tmp_path):
         assert main(["scan", "--param", "gate_spacing", "--values", "12,abc",
                      "--out", str(tmp_path / "out")]) == 2
         assert main(["scan", "--param", "gate_spacing", "--values", "12",
                      "--out", str(tmp_path / "out")]) == 2
+        for bad in ("12,nan", "inf,12"):
+            assert main(["scan", "--param", "gate_spacing", "--values", bad,
+                         "--out", str(tmp_path / "out")]) == 2
 
 
 class TestCliFringes:
@@ -155,6 +197,20 @@ class TestCliFringes:
         assert report["spacing_T"] == pytest.approx(
             sim_report["fringes"]["spacing_T"], rel=1e-9)
         assert (fr_out / "fringes.svg").exists()
+
+    def test_non_numeric_cell_is_config_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,intensity\n0.0,1.0\n0.5,abc\n")
+        assert main(["fringes", "--trace", str(trace),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_one_column_row_is_config_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,intensity\n0.0,1.0\n0.5\n")
+        assert main(["fringes", "--trace", str(trace),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_missing_trace_is_io_error(self, tmp_path):
         assert main(["fringes", "--trace", str(tmp_path / "nope.csv"),
