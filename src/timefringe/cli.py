@@ -230,11 +230,15 @@ def cmd_fringes(args) -> int:
             raise ConfigError("trace CSV is empty")
         for row in reader:
             try:
-                times.append(float(row[0]))
-                intensity.append(float(row[1]))
+                t, i = float(row[0]), float(row[1])
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"trace CSV line {reader.line_num}: expected"
                                   f" two numbers, got {row!r}") from exc
+            if not (math.isfinite(t) and math.isfinite(i)):
+                raise ConfigError(f"trace CSV line {reader.line_num}: expected"
+                                  f" two finite numbers, got {row!r}")
+            times.append(t)
+            intensity.append(i)
     trace = IntensityTrace(times=np.asarray(times),
                            intensity=np.asarray(intensity),
                            detector_x=float("nan"), theory="reanalysis")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, NoFringes, OverlapWarning
+from .errors import DomainError, NoFringes, OverlapWarning, ResolutionError
 from .packets import (GAUSSIAN, GATE_PROFILES, GaussianSpatialPacket,
                       SpacetimePacket, TimeGate)
 from .propagation import (CLOSED_FORM, ENGINES, SCHRODINGER, STUECKELBERG,
@@ -29,6 +29,8 @@ from .propagation import (CLOSED_FORM, ENGINES, SCHRODINGER, STUECKELBERG,
                           propagate_spacetime, spatial_component)
 # perfbench/tracing.py wraps these two by name in this module.
 from .propagation import propagate_floquet, propagate_stueckelberg  # noqa
+
+MIN_SAMPLES_PER_FRINGE = 8  # below this the peak spacing is off by percents
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,15 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
     packet = build_packet(cfg)
     grid = auto_output_grid(packet, theory, s, cfg.mass, cfg.c, cfg.hbar,
                             n_x=cfg.n_x, n_t=cfg.n_t)
+    predicted = (cfg.predicted_spacing() if theory == STUECKELBERG
+                 and cfg.gate_spacing > 0 else None)
+    if predicted is not None and predicted < MIN_SAMPLES_PER_FRINGE * grid.dt:
+        span = grid.t_max - grid.t_min
+        need = int(math.ceil(MIN_SAMPLES_PER_FRINGE * span / predicted)) + 1
+        raise ResolutionError(
+            f"t grid gives {predicted / grid.dt:.2f} samples per predicted "
+            f"fringe (< {MIN_SAMPLES_PER_FRINGE}); need n_t >= {need}",
+            required_n_t=need)
     result = propagate_spacetime(packet, theory, s, cfg.engine, grid=grid,
                                  mass=cfg.mass, c=cfg.c, hbar=cfg.hbar)
     # the field is X(x) sum_k T_k(t); the incoherent reference drops the
@@ -217,8 +228,6 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
                            detector_x=float(grid.x[ix]), theory=theory)
     inc_trace = IntensityTrace(times=times, intensity=inc_intensity,
                                detector_x=float(grid.x[ix]), theory=theory)
-    predicted = (cfg.predicted_spacing() if theory == STUECKELBERG
-                 and cfg.gate_spacing > 0 else None)
     return TwoGateOutcome(trace=trace, incoherent_trace=inc_trace,
                           interference_visibility=visibility,
                           norm_drift=result.norm_drift, s_elapsed=s,

@@ -11,6 +11,13 @@ The closed-form engine rests on one completed-square integral,
 applied once per axis (the covariant kernel factorizes, with effective mass
 -M c^2 on the time axis). Components carry log-amplitudes so widely displaced
 gates never overflow intermediate exponentials.
+
+The quadrature engine takes the Simpson sum of the same kernel over uniform
+input nodes to a uniform output grid. Because exp(i beta (x - u)^2) splits
+into chirps in x, in u and in the index difference, that sum is one linear
+convolution, evaluated as a chirp-z (Bluestein) transform with a zero-padded
+FFT: O(N log N) time and O(N) memory for N = n_out + n_in, where a dense
+kernel matrix would take n_out x n_in of both.
 """
 
 from __future__ import annotations
@@ -186,8 +193,22 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
                      k0: float, samples_per_cycle: float, axis: str):
     """Propagate the functions sources(u) of one axis by Simpson quadrature
     over n_in samples u of [lo, hi], raised to resolve the kernel chirp when
-    grow is set: their values on out and the grid norm^2 of their sum before
-    and after. k0 is the largest wavenumber of the input functions."""
+    grow is set: their values on the uniform grid out and the grid norm^2 of
+    their sum before and after. k0 is the largest wavenumber of the input
+    functions.
+
+    The Simpson sum sum_j K(out_i - u_j) w_j v_j is evaluated as a chirp-z
+    (Bluestein) transform: with out_i = out_0 + i dx, u_j = lo + j h and
+    d = out_0 - lo,
+
+        (out_i - u_j)^2 = d^2 + 2 d dx i + (dx^2 - dx h) i^2
+                          - 2 d h j + (h^2 - dx h) j^2 + dx h (i - j)^2,
+
+    so the sum is a chirp on i times the linear convolution of the chirp
+    exp(i beta dx h k^2) with the chirped, weighted inputs, one zero-padded
+    FFT of length >= n_out + n_in - 1 for all sources at once:
+    O((n_out + n_in) log(n_out + n_in)) time and memory, not n_out x n_in.
+    """
     k_max = (abs(mu) * max(abs(out[-1] - lo), abs(out[0] - hi))
              / (hbar * s) + k0)
     span = hi - lo
@@ -203,15 +224,21 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
     u = np.linspace(lo, hi, n_in)
     values_in = sources(u)
     w_in = simpson_weights(n_in, u[1] - u[0])
-    du = np.subtract.outer(out, u)
-    op = 1j * mu * du  # K[i, j] w_j, built in place: one complex n_out x n_in
-    op *= du
-    op /= 2.0 * hbar * s
-    np.exp(op, out=op)
-    op *= complex(axis_prefactor(mu, s, hbar))
-    op *= w_in
-    values = [op @ v for v in values_in]
-    w_out = simpson_weights(len(out), out[1] - out[0])
+    n_out = len(out)
+    dx = (out[-1] - out[0]) / (n_out - 1)
+    beta = mu / (2.0 * hbar * s)
+    d = out[0] - lo
+    i = np.arange(n_out)
+    j = np.arange(n_in)
+    k = np.arange(1 - n_in, n_out)
+    pre = complex(axis_prefactor(mu, s, hbar)) * np.exp(
+        1j * beta * (d * d + (2.0 * d * dx + (dx * dx - dx * h) * i) * i))
+    post = w_in * np.exp(1j * beta * ((h * h - dx * h) * j - 2.0 * d * h) * j)
+    n_fft = 1 << (n_out + n_in - 2).bit_length()
+    spectrum = (np.fft.fft(np.exp(1j * beta * dx * h * k * k), n_fft)
+                * np.fft.fft(np.asarray(values_in) * post, n_fft))
+    values = list(np.fft.ifft(spectrum)[:, n_in - 1:n_in - 1 + n_out] * pre)
+    w_out = simpson_weights(n_out, out[1] - out[0])
     return (values, float(w_in @ np.abs(sum(values_in)) ** 2),
             float(w_out @ np.abs(sum(values)) ** 2))
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from timefringe.errors import DomainError, NoFringes, OverlapWarning
+from timefringe.errors import (DomainError, NoFringes, OverlapWarning,
+                               ResolutionError)
 from timefringe.experiments import (DESK_SCALE, IntensityTrace, TwoGateConfig,
                                     build_packet, extract_fringes,
                                     two_gate_run, visibility_scan)
@@ -137,6 +139,35 @@ class TestTwoGateRun:
         np.testing.assert_allclose(outcome.incoherent_trace.intensity,
                                    incoherent, rtol=0,
                                    atol=1e-12 * np.max(incoherent))
+
+    def test_unresolved_fringes_raise_with_required_n_t(self):
+        cfg = replace(DESK_SCALE, gate_spacing=96.0)
+        with pytest.raises(ResolutionError) as err:
+            two_gate_run(STUECKELBERG, cfg)
+        cfg = replace(cfg, n_t=err.value.required_n_t)
+        outcome = two_gate_run(STUECKELBERG, cfg)
+        dt = outcome.trace.times[1] - outcome.trace.times[0]
+        assert cfg.predicted_spacing() / dt >= 8.0
+
+    def test_wide_spacing_quadrature_memory(self):
+        # at eps = 192 the joint input time range of the two gates takes
+        # 56907 quadrature nodes; a dense n_t x n_in kernel would need GiB
+        cfg = replace(DESK_SCALE, gate_spacing=192.0, flight_distance=1.5,
+                      engine=QUADRATURE)
+        with pytest.raises(ResolutionError) as err:
+            two_gate_run(STUECKELBERG, cfg)
+        cfg = replace(cfg, n_t=err.value.required_n_t)
+        tracemalloc.start()
+        try:
+            outcome = two_gate_run(STUECKELBERG, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        exact = two_gate_run(STUECKELBERG, replace(cfg, engine=CLOSED_FORM))
+        np.testing.assert_allclose(outcome.trace.intensity,
+                                   exact.trace.intensity, rtol=0,
+                                   atol=1e-6 * np.max(exact.trace.intensity))
 
     def test_deterministic(self):
         a = two_gate_run(STUECKELBERG)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from timefringe.errors import DomainError, ResolutionError
+from timefringe.kernels import axis_prefactor
 from timefringe.numerics import simpson_weights
 from timefringe.packets import (GaussianSpatialPacket, Grid1D, Grid2D,
                                 SpacetimePacket, TimeGate, expectations)
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
-                                    STUECKELBERG, auto_output_grid,
+                                    STUECKELBERG, _quadrature_axis,
+                                    auto_output_grid,
                                     gaussian_component, hamilton_diagnostics,
                                     propagate_component, propagate_floquet,
                                     propagate_schrodinger,
@@ -173,6 +175,38 @@ class TestStueckelberg:
     def test_rejects_nonpositive_parameter(self):
         with pytest.raises(DomainError):
             propagate_stueckelberg(two_gate_packet(), -2.0)
+
+
+class TestQuadratureAxis:
+    @pytest.mark.parametrize("out,n_in,mu,s,centers", [
+        (np.linspace(-8.0, 10.0, 301), 201, 1.0, 20.0, [0.0]),   # n_out > n_in
+        (np.linspace(-3.0, 4.0, 97), 401, -1.0, 20.0, [0.0]),    # n_out < n_in
+        (np.linspace(40.0, 60.0, 257), 301, 1.0, 50.0, [0.0]),   # far away
+        # two sources; n_out + n_in - 1 = 513 needs an FFT of length 1024
+        (np.linspace(-6.0, 9.0, 257), 257, -1.0, 30.0, [-1.5, 2.0]),
+    ])
+    def test_matches_dense_simpson_sum(self, out, n_in, mu, s, centers):
+        lo, hi, k0 = -5.0, 5.0, 1.0
+
+        def sources(u):
+            return [np.exp(-(u - c) ** 2 / 2.0 + 1j * k0 * u)
+                    for c in centers]
+
+        values, before, after = _quadrature_axis(
+            sources, out, lo, hi, n_in, False, mu, s, HBAR, k0, 48.0, "x")
+        u = np.linspace(lo, hi, n_in)
+        w_in = simpson_weights(n_in, u[1] - u[0])
+        kernel = axis_prefactor(mu, s, HBAR) * np.exp(
+            1j * mu * np.subtract.outer(out, u) ** 2 / (2.0 * HBAR * s))
+        reference = [kernel @ (w_in * v) for v in sources(u)]
+        assert len(values) == len(reference)
+        for got, want in zip(values, reference):
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 1e-12
+        w_out = simpson_weights(len(out), out[1] - out[0])
+        assert before == float(w_in @ np.abs(sum(sources(u))) ** 2)
+        assert after == pytest.approx(
+            float(w_out @ np.abs(sum(reference)) ** 2), rel=1e-12)
 
 
 class TestComponentAlgebra:

@@ -121,6 +121,19 @@ class TestCliSimulate:
                      "--out", str(tmp_path / "out")])
         assert code == 4
 
+    @pytest.mark.parametrize("eps,code", [(96.0, 3), (48.0, 0)])
+    def test_unresolved_fringes_are_resolution_error(self, tmp_path, capsys,
+                                                     eps, code):
+        # at L = 2 the capped time grid gives 4.8 samples per predicted
+        # fringe at eps = 96 and 11.6 at eps = 48
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"packet": {"gate_spacing": eps},
+                                  "sim": {"flight_distance": 2.0}}))
+        assert main(["simulate", "--scenario", str(sc),
+                     "--out", str(tmp_path / "out")]) == code
+        if code == 3:
+            assert "need n_t >= " in capsys.readouterr().err
+
     def test_bad_scenario_is_config_error(self, tmp_path):
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps({"packet": {"momentum": -1.0}}))
@@ -201,6 +214,15 @@ class TestCliFringes:
     def test_non_numeric_cell_is_config_error(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text("t,intensity\n0.0,1.0\n0.5,abc\n")
+        assert main(["fringes", "--trace", str(trace),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "nan,1.0",
+                                     "-inf,1.0"])
+    def test_non_finite_cell_is_config_error(self, tmp_path, capsys, row):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"t,intensity\n0.0,1.0\n{row}\n1.0,2.0\n")
         assert main(["fringes", "--trace", str(trace),
                      "--out", str(tmp_path / "out")]) == 2
         assert "line 3" in capsys.readouterr().err
