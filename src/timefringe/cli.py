@@ -21,11 +21,11 @@ import numpy as np
 
 from . import __version__
 from .errors import (ConfigError, DomainError, IoError, NoFringes,
-                     ResolutionError, SingularKernel)
+                     ResolutionError)
 from .estimates import compare_estimates, report_to_dict
 from .experiments import (SCAN_PARAMS, IntensityTrace, extract_fringes,
                           two_gate_run, visibility_scan)
-from .propagation import SCHRODINGER, STUECKELBERG
+from .propagation import ENGINES, SCHRODINGER, STUECKELBERG, THEORIES
 from .scenario import Scenario, parse_scenario
 from .svgplot import line_chart
 
@@ -285,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="run the two-gate experiment")
-    p_sim.add_argument("--engine", choices=["closed_form", "quadrature"])
-    p_sim.add_argument("--theory", choices=["schrodinger_control", "floquet",
-                                            "stueckelberg"])
+    p_sim.add_argument("--engine", choices=ENGINES)
+    p_sim.add_argument("--theory", choices=THEORIES)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_scan = sub.add_parser("scan", parents=[common],
@@ -296,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--values", required=True,
                         help="comma-separated values")
     p_scan.add_argument("--workers", type=int, default=1)
-    p_scan.add_argument("--engine", choices=["closed_form", "quadrature"])
-    p_scan.add_argument("--theory", choices=["schrodinger_control", "floquet",
-                                             "stueckelberg"])
+    p_scan.add_argument("--engine", choices=ENGINES)
+    p_scan.add_argument("--theory", choices=THEORIES)
     p_scan.set_defaults(func=cmd_scan)
 
     p_fr = sub.add_parser("fringes", help="re-analyze an existing CSV trace")
@@ -320,7 +318,7 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         print(f"resolution error: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
-    except (DomainError, SingularKernel, NoFringes) as exc:
+    except (DomainError, NoFringes) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (IoError, OSError) as exc:

@@ -9,10 +9,6 @@ class DomainError(TimefringeError):
     """An input violates a documented precondition."""
 
 
-class SingularKernel(TimefringeError):
-    """Kernel requested at a singular evolution parameter (t = 0 or s = 0)."""
-
-
 class ResolutionError(TimefringeError):
     """Grid too coarse to resolve the oscillations of the integrand.
 

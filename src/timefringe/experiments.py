@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,7 +148,6 @@ class TwoGateOutcome:
     norm_drift: float
     s_elapsed: float
     predicted_spacing: float | None
-    config: TwoGateConfig = field(repr=False, default=DESK_SCALE)
 
 
 def _schrodinger_control_traces(cfg: TwoGateConfig):
@@ -196,11 +195,15 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
         trace, inc = _schrodinger_control_traces(cfg)
         return TwoGateOutcome(trace=trace, incoherent_trace=inc,
                               interference_visibility=0.0, norm_drift=0.0,
-                              s_elapsed=s, predicted_spacing=None, config=cfg)
+                              s_elapsed=s, predicted_spacing=None)
 
     packet = build_packet(cfg)
     grid = auto_output_grid(packet, theory, s, cfg.mass, cfg.c, cfg.hbar,
                             n_x=cfg.n_x, n_t=cfg.n_t)
+    if not grid.x_min <= cfg.detector <= grid.x_max:
+        raise DomainError(
+            f"detector_x = {cfg.detector:g} lies outside the x grid "
+            f"[{grid.x_min:g}, {grid.x_max:g}]")
     predicted = (cfg.predicted_spacing() if theory == STUECKELBERG
                  and cfg.gate_spacing > 0 else None)
     if predicted is not None and predicted < MIN_SAMPLES_PER_FRINGE * grid.dt:
@@ -231,7 +234,7 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
     return TwoGateOutcome(trace=trace, incoherent_trace=inc_trace,
                           interference_visibility=visibility,
                           norm_drift=result.norm_drift, s_elapsed=s,
-                          predicted_spacing=predicted, config=cfg)
+                          predicted_spacing=predicted)
 
 
 def _refine_peak(times, intensity, i: int) -> float:

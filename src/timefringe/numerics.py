@@ -34,9 +34,3 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
 def integrate_1d(values: np.ndarray, h: float) -> float:
     w = simpson_weights(len(values), h)
     return float(np.dot(w, values).real) if np.iscomplexobj(values) else float(np.dot(w, values))
-
-
-def integrate_2d(values: np.ndarray, hx: float, ht: float) -> float:
-    wx = simpson_weights(values.shape[0], hx)
-    wt = simpson_weights(values.shape[1], ht)
-    return float(wx @ values @ wt)

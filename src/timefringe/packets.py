@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError
 from .numerics import integrate_1d, simpson_weights
 
 GAUSSIAN = "gaussian"
@@ -176,48 +176,6 @@ class Grid2D:
         return (self.t_max - self.t_min) / (self.n_t - 1)
 
 
-def evaluate_packet(packet: SpacetimePacket, x, t, hbar: float = 1.0):
-    """psi(x, t) with broadcasting over x and t."""
-    gx = packet.spatial.amplitude(x, hbar)
-    ht = packet.gate_sum(t, hbar)
-    return gx * ht
-
-
-def packet_on_grid(packet: SpacetimePacket, grid: Grid2D,
-                   hbar: float = 1.0) -> np.ndarray:
-    """Field sampled on the grid, shape (n_x, n_t)."""
-    return np.outer(packet.spatial.amplitude(grid.x, hbar),
-                    packet.gate_sum(grid.t, hbar))
-
-
-def _check_resolution(packet: SpacetimePacket, grid: Grid2D) -> None:
-    min_w = min(g.width_delta_t for g in packet.gates)
-    if min_w < 4.0 * grid.dt:
-        need = int(math.ceil((grid.t_max - grid.t_min) / (min_w / 4.0))) + 1
-        raise ResolutionError(
-            f"gate width {min_w:g} under-resolved by dt={grid.dt:g}; "
-            f"need n_t >= {need}", required_n_t=need)
-    if packet.spatial.width_sigma_x < 4.0 * grid.dx:
-        need = int(math.ceil((grid.x_max - grid.x_min)
-                             / (packet.spatial.width_sigma_x / 4.0))) + 1
-        raise ResolutionError(
-            f"spatial width under-resolved by dx={grid.dx:g}; "
-            f"need n_x >= {need}", required_n_x=need)
-
-
-def norm2(packet: SpacetimePacket, grid: Grid2D, hbar: float = 1.0) -> float:
-    """Space-time L2 norm^2 of the packet on the grid (Simpson)."""
-    _check_resolution(packet, grid)
-    field2 = np.abs(packet_on_grid(packet, grid, hbar)) ** 2
-    return field_norm2(field2, grid)
-
-
-def field_norm2(intensity: np.ndarray, grid: Grid2D) -> float:
-    wx = simpson_weights(grid.n_x, grid.dx)
-    wt = simpson_weights(grid.n_t, grid.dt)
-    return float(wx @ intensity @ wt)
-
-
 @dataclass(frozen=True)
 class Moments:
     mean_x: float
@@ -233,11 +191,11 @@ def expectations(field: np.ndarray, grid: Grid2D,
     """First and second moments of |psi|^2 plus derivative-based mean
     momentum / energy of a field sampled on the grid."""
     intensity = np.abs(field) ** 2
-    n2 = field_norm2(intensity, grid)
-    if n2 <= 0:
-        raise DomainError("zero-norm field has no expectation values")
     wx = simpson_weights(grid.n_x, grid.dx)
     wt = simpson_weights(grid.n_t, grid.dt)
+    n2 = float(wx @ intensity @ wt)
+    if n2 <= 0:
+        raise DomainError("zero-norm field has no expectation values")
     x, t = grid.x, grid.t
 
     mean_x = float((wx * x) @ intensity @ wt) / n2

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .kernels import axis_prefactor
 from .numerics import simpson_weights
 from .packets import (GAUSSIAN, GaussianSpatialPacket, Grid1D, Grid2D,
                       SpacetimePacket, expectations)
@@ -43,6 +42,12 @@ STUECKELBERG = "stueckelberg"
 THEORIES = (SCHRODINGER, FLOQUET, STUECKELBERG)
 
 MIN_SAMPLES_PER_CYCLE = 8  # below this the quadrature silently decoheres
+
+
+def axis_prefactor(mu: float, s, hbar: float = 1.0):
+    """Per-axis kernel normalization sqrt(mu/(2 pi i hbar s)). The principal
+    complex square root fixes the branch and gives K(-s) = conj(K(s))."""
+    return np.sqrt(mu / (2j * np.pi * hbar * np.asarray(s, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -269,9 +274,9 @@ def schrodinger_closed_form(packet: GaussianSpatialPacket, t_elapsed: float,
     return propagate_component(comp, mass, t_elapsed, hbar)
 
 
-def auto_grid_1d(packet: GaussianSpatialPacket, t_elapsed: float,
-                 mass: float = 1.0, hbar: float = 1.0,
-                 pad_sigmas: float = 6.5) -> Grid1D:
+def _auto_grid_1d(packet: GaussianSpatialPacket, t_elapsed: float,
+                  mass: float = 1.0, hbar: float = 1.0,
+                  pad_sigmas: float = 6.5) -> Grid1D:
     comp = schrodinger_closed_form(packet, t_elapsed, mass, hbar)
     mean, sig = comp.intensity_mean, comp.intensity_sigma
     lo = min(mean - pad_sigmas * sig,
@@ -297,7 +302,7 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
     if engine not in ENGINES:
         raise DomainError(f"engine must be one of {ENGINES}")
     if grid is None:
-        grid = auto_grid_1d(packet, t_elapsed, mass, hbar)
+        grid = _auto_grid_1d(packet, t_elapsed, mass, hbar)
     if t_elapsed == 0.0:
         field = spatial_component(packet, hbar)(grid.x)
         n2 = float(simpson_weights(grid.n_x, grid.dx) @ np.abs(field) ** 2)

@@ -2,8 +2,7 @@
 serialization.
 
 The simulation itself runs in internal units (hbar = M = c = 1); the lab
-`setup` block and the `scales` block record the laboratory correspondence so
-SI numbers stay recoverable from any run report.
+`setup` block, in SI units, feeds only the closed-form estimate chain.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ _SETUP_DEFAULTS = {
     "gate_width_s": 2.5e-16,
     "momentum_model": "nonrelativistic",
 }
-_SCALES_DEFAULTS = {"length_scale": 1.0, "time_scale": 1.0, "mass_scale": 1.0}
 _PACKET_DEFAULTS = {
     "spatial_width": 5.0,
     "spatial_center": 0.0,
@@ -46,7 +44,6 @@ _TOP_DEFAULTS = {
     "theory": "stueckelberg",
     "engine": "closed_form",
     "setup": _SETUP_DEFAULTS,
-    "scales": _SCALES_DEFAULTS,
     "packet": _PACKET_DEFAULTS,
     "sim": _SIM_DEFAULTS,
     "grid": _GRID_DEFAULTS,
@@ -59,7 +56,6 @@ class Scenario:
     theory: str = "stueckelberg"
     engine: str = "closed_form"
     setup: dict = field(default_factory=lambda: dict(_SETUP_DEFAULTS))
-    scales: dict = field(default_factory=lambda: dict(_SCALES_DEFAULTS))
     packet: dict = field(default_factory=lambda: dict(_PACKET_DEFAULTS))
     sim: dict = field(default_factory=lambda: dict(_SIM_DEFAULTS))
     grid: dict = field(default_factory=lambda: dict(_GRID_DEFAULTS))
@@ -133,7 +129,12 @@ def _require_number(section: str, key: str, value, positive=False,
         raise ConfigError(f"{section}.{key} must be a number")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number")
-    if isinstance(value, float) and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{section}.{key} is too large for a float") from None
+    if not finite:
         raise ConfigError(f"{section}.{key} must be finite, got {value}")
     if positive and value <= 0:
         raise ConfigError(f"{section}.{key} must be > 0")
@@ -154,7 +155,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
 
     setup = _merge_section("setup", raw.get("setup"), _SETUP_DEFAULTS)
-    scales = _merge_section("scales", raw.get("scales"), _SCALES_DEFAULTS)
     packet = _merge_section("packet", raw.get("packet"), _PACKET_DEFAULTS)
     sim = _merge_section("sim", raw.get("sim"), _SIM_DEFAULTS)
     grid = _merge_section("grid", raw.get("grid"), _GRID_DEFAULTS)
@@ -163,8 +163,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     _require_number("setup", "wavelength_nm", setup["wavelength_nm"],
                     positive=True)
-    if not isinstance(setup["photon_count"], int) or setup["photon_count"] < 1:
+    count = setup["photon_count"]
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError("setup.photon_count must be an integer >= 1")
+    _require_number("setup", "photon_count", count)
     _require_number("setup", "flight_distance_m", setup["flight_distance_m"],
                     positive=True)
     _require_number("setup", "gate_spacing_s", setup["gate_spacing_s"],
@@ -174,8 +176,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if setup["momentum_model"] not in MOMENTUM_MODELS:
         raise ConfigError(
             f"setup.momentum_model must be one of {MOMENTUM_MODELS}")
-    for key in _SCALES_DEFAULTS:
-        _require_number("scales", key, scales[key], positive=True)
     _require_number("packet", "spatial_width", packet["spatial_width"],
                     positive=True)
     _require_number("packet", "spatial_center", packet["spatial_center"])
@@ -204,16 +204,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not 0.0 < tf < 1.0:
         raise ConfigError("analysis.threshold_fraction must be in (0, 1)")
 
-    return Scenario(theory=theory, engine=engine, setup=setup, scales=scales,
-                    packet=packet, sim=sim, grid=grid, analysis=analysis)
+    return Scenario(theory=theory, engine=engine, setup=setup, packet=packet,
+                    sim=sim, grid=grid, analysis=analysis)
 
 
 def parse_scenario(path) -> Scenario:
     p = Path(path)
     if not p.exists():
         raise IoError(f"scenario file not found: {p}")
-    try:
+    try:  # ValueError: bad JSON, or an integer past Python's digit limit
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(raw)

@@ -1,9 +1,8 @@
-"""Physical constants, lab/internal unit conversion, and photon-absorption
+"""Physical constants, the laboratory setup, and photon-absorption
 kinematics.
 
-Laboratory quantities live in SI (with the usual eV/nm conveniences);
-simulations run in internal units (hbar = M = c = 1 by default) so that
-quantities like 1e-30 s^2 never appear in intermediate products.
+Laboratory quantities live in SI (with the usual eV/nm conveniences); the
+simulations run separately in internal units (hbar = M = c = 1).
 """
 
 from __future__ import annotations
@@ -24,34 +23,6 @@ HC_EV_NM = HBAR_JS * C_M_PER_S * 2.0 * math.pi / (EV_TO_JOULE * 1e-9)
 NONRELATIVISTIC = "nonrelativistic"
 RELATIVISTIC = "relativistic"
 MOMENTUM_MODELS = (NONRELATIVISTIC, RELATIVISTIC)
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    hbar: float = HBAR_JS
-    c: float = C_M_PER_S
-    electron_mass: float = ELECTRON_MASS_KG
-    electron_rest_energy: float = ELECTRON_REST_ENERGY_EV
-    ev_to_joule: float = EV_TO_JOULE
-    hc: float = HC_EV_NM
-
-
-CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
-class UnitScales:
-    """Meters / seconds / kilograms per internal unit."""
-
-    length_scale: float = 1.0
-    time_scale: float = 1.0
-    mass_scale: float = 1.0
-
-    def __post_init__(self):
-        for name in ("length_scale", "time_scale", "mass_scale"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -109,37 +80,3 @@ def momentum_from_kinetic(e_kin: float, model: str = NONRELATIVISTIC) -> float:
     if model == RELATIVISTIC:
         return math.sqrt((mc2 + e_kin) ** 2 - mc2**2)
     raise DomainError(f"unknown momentum model {model!r}")
-
-
-@dataclass(frozen=True)
-class InternalSetup:
-    """PhysicalSetup nondimensionalized by a UnitScales record."""
-
-    wavelength: float
-    photon_count: int
-    flight_distance_L: float
-    gate_spacing_epsilon: float
-    gate_width: float
-    momentum_model: str
-
-
-def to_internal(setup: PhysicalSetup, scales: UnitScales) -> InternalSetup:
-    return InternalSetup(
-        wavelength=setup.wavelength * 1e-9 / scales.length_scale,
-        photon_count=setup.photon_count,
-        flight_distance_L=setup.flight_distance_L / scales.length_scale,
-        gate_spacing_epsilon=setup.gate_spacing_epsilon / scales.time_scale,
-        gate_width=setup.gate_width / scales.time_scale,
-        momentum_model=setup.momentum_model,
-    )
-
-
-def from_internal(internal: InternalSetup, scales: UnitScales) -> PhysicalSetup:
-    return PhysicalSetup(
-        wavelength=internal.wavelength * scales.length_scale / 1e-9,
-        photon_count=internal.photon_count,
-        flight_distance_L=internal.flight_distance_L * scales.length_scale,
-        gate_spacing_epsilon=internal.gate_spacing_epsilon * scales.time_scale,
-        gate_width=internal.gate_width * scales.time_scale,
-        momentum_model=internal.momentum_model,
-    )

@@ -10,7 +10,7 @@ from timefringe.errors import (DomainError, NoFringes, OverlapWarning,
 from timefringe.experiments import (DESK_SCALE, IntensityTrace, TwoGateConfig,
                                     build_packet, extract_fringes,
                                     two_gate_run, visibility_scan)
-from timefringe.packets import norm2, Grid2D
+from timefringe.numerics import simpson_weights
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
                                     SCHRODINGER, STUECKELBERG,
                                     auto_output_grid, propagate_floquet,
@@ -50,8 +50,13 @@ class TestTwoGateConfig:
 class TestBuildPacket:
     def test_unit_norm(self):
         pk = build_packet(DESK_SCALE)
-        grid = Grid2D(-40.0, 40.0, 257, -4.0, 16.0, 1025)
-        assert norm2(pk, grid) == pytest.approx(1.0, abs=1e-6)
+        x = np.linspace(-40.0, 40.0, 257)
+        t = np.linspace(-4.0, 16.0, 1025)
+        # the field is rank-1, so its norm^2 is a product of 1-D sums
+        nx = simpson_weights(len(x), x[1] - x[0]) @ np.abs(
+            pk.spatial.amplitude(x)) ** 2
+        nt = simpson_weights(len(t), t[1] - t[0]) @ np.abs(pk.gate_sum(t)) ** 2
+        assert nx * nt == pytest.approx(1.0, abs=1e-6)
 
     def test_gate_placement(self):
         pk = build_packet(DESK_SCALE)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from timefringe.errors import DomainError
-from timefringe.numerics import integrate_1d, integrate_2d, simpson_weights
+from timefringe.numerics import integrate_1d, simpson_weights
 
 
 def test_weights_sum_to_span():
@@ -26,15 +26,6 @@ def test_even_grid_converges():
         errs.append(abs(integrate_1d(np.sin(x), x[1] - x[0]) - exact))
     assert errs[1] < errs[0]
     assert errs[1] < 1e-6
-
-
-def test_separable_2d():
-    x = np.linspace(0.0, 1.0, 33)
-    t = np.linspace(0.0, 2.0, 65)
-    f = np.outer(x**2, t)
-    exact = (1.0 / 3.0) * 2.0
-    assert integrate_2d(f, x[1] - x[0], t[1] - t[0]) == pytest.approx(
-        exact, rel=1e-9)
 
 
 def test_rejects_tiny_grids():

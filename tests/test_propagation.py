@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from timefringe.errors import DomainError, ResolutionError
-from timefringe.kernels import axis_prefactor
 from timefringe.numerics import simpson_weights
 from timefringe.packets import (GaussianSpatialPacket, Grid1D, Grid2D,
                                 SpacetimePacket, TimeGate, expectations)
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
                                     STUECKELBERG, _quadrature_axis,
-                                    auto_output_grid,
-                                    gaussian_component, hamilton_diagnostics,
+                                    auto_output_grid, axis_prefactor,
+                                    component_overlap, gaussian_component,
+                                    hamilton_diagnostics,
                                     propagate_component, propagate_floquet,
                                     propagate_schrodinger,
                                     propagate_stueckelberg,
@@ -226,3 +226,53 @@ class TestComponentAlgebra:
     def test_hamilton_needs_three_samples(self):
         with pytest.raises(DomainError):
             hamilton_diagnostics(two_gate_packet(), STUECKELBERG, [1.0, 2.0])
+
+
+class TestAxisPrefactor:
+    def test_modulus(self):
+        # |sqrt(mu / 2 pi i hbar s)| = sqrt(|mu| / 2 pi hbar |s|)
+        for mu, s in [(1.0, 0.7), (2.5, -0.3), (-1.0, 0.7)]:
+            expected = math.sqrt(abs(mu) / (2 * math.pi * abs(s)))
+            assert abs(axis_prefactor(mu, s)) == pytest.approx(expected,
+                                                               rel=1e-12)
+
+    def test_negative_s_conjugates(self):
+        p = complex(axis_prefactor(1.0, 0.4))
+        m = complex(axis_prefactor(1.0, -0.4))
+        assert m == pytest.approx(np.conj(p), rel=1e-12)
+
+
+class TestIdentityLimit:
+    @pytest.mark.parametrize("mu", [MASS, -MASS])
+    def test_deviation_halves_with_s(self, mu):
+        # first-order convergence to the input as s -> 0, for a spatial
+        # axis (mass M) and the covariant time axis (mass -M c^2)
+        comp = gaussian_component(center=0.0, width=1.0)
+        u = np.linspace(-8.0, 8.0, 2001)
+        devs = [rel_l2(propagate_component(comp, mu, 1e-3 / 2**k, HBAR)(u),
+                       comp(u)) for k in range(4)]
+        assert devs[-1] < 1e-3
+        for coarse, fine in zip(devs, devs[1:]):
+            assert coarse / fine == pytest.approx(2.0, abs=0.1)
+
+
+class TestSemigroupComposition:
+    @pytest.mark.parametrize("mu", [1.0, -1.0])
+    def test_two_steps_equal_one(self, mu):
+        # applied to a normalizable packet; the pointwise kernel-product
+        # integral is not absolutely convergent, the operator statement is
+        comp = gaussian_component(center=0.3, width=1.0, wavenumber=0.5)
+        s1, s2 = 0.4, 0.9
+        once = propagate_component(comp, mu, s1 + s2)
+        twice = propagate_component(propagate_component(comp, mu, s1), mu, s2)
+        u = np.linspace(-12, 12, 1501)
+        ref = np.max(np.abs(once(u)))
+        np.testing.assert_allclose(twice(u), once(u), atol=1e-10 * ref)
+
+    def test_forward_backward_is_identity(self):
+        comp = gaussian_component(center=0.0, width=1.0, wavenumber=0.3)
+        back = propagate_component(propagate_component(comp, 1.0, 0.7),
+                                   1.0, -0.7)
+        n0 = component_overlap(comp, comp).real
+        cross = component_overlap(back, comp).real
+        assert cross == pytest.approx(n0, rel=1e-10)

@@ -3,11 +3,30 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timefringe import experiments
 from timefringe.cli import main
 from timefringe.errors import ConfigError, IoError
 from timefringe.scenario import Scenario, parse_scenario, scenario_from_dict
+
+
+_NUMBER_FIELDS = [
+    ("simulate", "packet", "momentum"),
+    ("simulate", "sim", "detector_x"),
+    ("simulate", "sim", "flight_distance"),
+    ("estimate", "setup", "wavelength_nm"),
+    ("estimate", "setup", "photon_count"),
+]
+
+
+def assert_config_error(tmp_path, capsys, command, section, key, value):
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({section: {key: value}}))
+    assert main([command, "--scenario", str(sc),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
 
 
 class TestScenarioSchema:
@@ -54,18 +73,35 @@ class TestScenarioSchema:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
-    @pytest.mark.parametrize("command,section,key", [
-        ("simulate", "packet", "momentum"),
-        ("simulate", "sim", "detector_x"),
-        ("estimate", "setup", "wavelength_nm"),
-    ])
+    @pytest.mark.parametrize("command,section,key", _NUMBER_FIELDS)
     def test_non_finite_number_is_config_error(self, tmp_path, capsys,
                                                command, section, key, value):
+        assert_config_error(tmp_path, capsys, command, section, key, value)
+
+    # 10**400 overflows float(); true is a JSON bool, not a number
+    @pytest.mark.parametrize("value", [pytest.param(10**400, id="10**400"),
+                                       True])
+    @pytest.mark.parametrize("command,section,key", _NUMBER_FIELDS)
+    def test_unusable_number_is_config_error(self, tmp_path, capsys,
+                                             command, section, key, value):
+        assert_config_error(tmp_path, capsys, command, section, key, value)
+
+    def test_removed_scales_block_is_rejected(self, tmp_path, capsys):
+        raw = {"scales": {"length_scale": 1.0, "time_scale": 1.0,
+                          "mass_scale": 1.0}}
+        with pytest.raises(ConfigError, match="unknown key 'scales'"):
+            scenario_from_dict(raw)
         sc = tmp_path / "sc.json"
-        sc.write_text(json.dumps({section: {key: value}}))
-        assert main([command, "--scenario", str(sc),
+        sc.write_text(json.dumps(raw))
+        assert main(["simulate", "--scenario", str(sc),
                      "--out", str(tmp_path / "out")]) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        assert "scales" in capsys.readouterr().err
+
+    def test_integer_past_parser_digit_limit_is_config_error(self, tmp_path):
+        sc = tmp_path / "sc.json"
+        sc.write_text('{"sim": {"flight_distance": 1' + "0" * 5000 + "}}")
+        assert main(["simulate", "--scenario", str(sc),
+                     "--out", str(tmp_path / "out")]) == 2
 
     def test_parse_scenario_io(self, tmp_path):
         with pytest.raises(IoError):
@@ -74,6 +110,35 @@ class TestScenarioSchema:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             parse_scenario(bad)
+
+
+_FIELDS = ([(None, key) for key in Scenario().to_dict()]
+           + [(section, key) for section, keys in Scenario().to_dict().items()
+              if isinstance(keys, dict) for key in keys])
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10**400, max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8))
+
+
+class TestScenarioProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_FIELDS), _JSON_SCALARS),
+                    min_size=1, max_size=4))
+    def test_any_scalar_in_any_field_is_accepted_or_config_error(self,
+                                                                 pairs):
+        raw = {}
+        for (section, key), value in pairs:
+            if section is None:
+                raw[key] = value
+            elif isinstance(raw.setdefault(section, {}), dict):
+                raw[section][key] = value
+        try:
+            sc = scenario_from_dict(raw)
+            sc.two_gate_config()
+            sc.physical_setup()
+        except ConfigError:
+            pass
 
 
 class TestCliEstimate:
@@ -133,6 +198,21 @@ class TestCliSimulate:
                      "--out", str(tmp_path / "out")]) == code
         if code == 3:
             assert "need n_t >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theory", ["stueckelberg", "floquet"])
+    def test_detector_outside_x_grid_is_domain_error(self, tmp_path, capsys,
+                                                     theory):
+        # at L = 2 the x grid spans [-22.75, 26.75]; the default detector
+        # sits at x = L, inside it
+        assert main(["simulate", "--theory", theory,
+                     "--out", str(tmp_path / "default")]) == 0
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"sim": {"detector_x": 60.0}}))
+        assert main(["simulate", "--theory", theory, "--scenario", str(sc),
+                     "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "detector_x = 60" in err
+        assert "[-22.7513, 26.7513]" in err
 
     def test_bad_scenario_is_config_error(self, tmp_path):
         sc = tmp_path / "sc.json"

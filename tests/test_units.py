@@ -4,23 +4,31 @@ import pytest
 
 from timefringe import units
 from timefringe.errors import DomainError
-from timefringe.units import (CONSTANTS, InternalSetup, PhysicalSetup,
-                              UnitScales, from_internal, kinetic_from_photons,
-                              momentum_from_kinetic, photon_energy,
-                              to_internal)
+from timefringe.units import (PhysicalSetup, kinetic_from_photons,
+                              momentum_from_kinetic, photon_energy)
 
 REL = 1e-4  # CODATA revisions stay well below this
 
 
 def test_rest_energy_consistent_with_mass():
-    derived = CONSTANTS.electron_mass * CONSTANTS.c**2 / CONSTANTS.ev_to_joule
-    assert derived == pytest.approx(CONSTANTS.electron_rest_energy, rel=1e-6)
+    derived = units.ELECTRON_MASS_KG * units.C_M_PER_S**2 / units.EV_TO_JOULE
+    assert derived == pytest.approx(units.ELECTRON_REST_ENERGY_EV, rel=1e-6)
 
 
 def test_hc_consistent_with_hbar_c():
-    derived = (CONSTANTS.hbar * CONSTANTS.c * 2.0 * math.pi
-               / (CONSTANTS.ev_to_joule * 1e-9))
-    assert derived == pytest.approx(CONSTANTS.hc, rel=1e-6)
+    derived = (units.HBAR_JS * units.C_M_PER_S * 2.0 * math.pi
+               / (units.EV_TO_JOULE * 1e-9))
+    assert derived == pytest.approx(units.HC_EV_NM, rel=1e-6)
+
+
+def test_rest_energy_matches_tabulated_value():
+    # CODATA 2018: m_e c^2 = 510998.95 eV
+    assert units.ELECTRON_REST_ENERGY_EV == pytest.approx(510998.95, rel=1e-8)
+
+
+def test_hc_matches_tabulated_value():
+    # CODATA 2018: hc = 1239.84198 eV nm
+    assert units.HC_EV_NM == pytest.approx(1239.84198, rel=1e-8)
 
 
 class TestPhotonEnergy:
@@ -97,38 +105,6 @@ class TestMomentumFromKinetic:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             momentum_from_kinetic(-1.0)
-
-
-class TestUnitScales:
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(DomainError):
-            UnitScales(length_scale=0.0)
-        with pytest.raises(DomainError):
-            UnitScales(time_scale=-1.0)
-        with pytest.raises(DomainError):
-            UnitScales(mass_scale=float("inf"))
-
-    def test_definition_cases(self):
-        setup = PhysicalSetup(flight_distance_L=0.01, gate_width=1e-15)
-        scales = UnitScales(length_scale=0.01, time_scale=1e-15)
-        internal = to_internal(setup, scales)
-        assert internal.flight_distance_L == pytest.approx(1.0, rel=1e-12)
-        assert internal.gate_width == pytest.approx(1.0, rel=1e-12)
-
-    def test_round_trip_identity(self):
-        setup = PhysicalSetup(wavelength=850.0, photon_count=300,
-                              flight_distance_L=0.01,
-                              gate_spacing_epsilon=2.8e-15,
-                              gate_width=2.5e-16)
-        scales = UnitScales(length_scale=3.7e-4, time_scale=8.9e-16,
-                            mass_scale=units.ELECTRON_MASS_KG)
-        back = from_internal(to_internal(setup, scales), scales)
-        for name in ("wavelength", "flight_distance_L",
-                     "gate_spacing_epsilon", "gate_width"):
-            assert getattr(back, name) == pytest.approx(
-                getattr(setup, name), rel=1e-12)
-        assert back.photon_count == setup.photon_count
-        assert back.momentum_model == setup.momentum_model
 
 
 class TestPhysicalSetupInvariants:
