@@ -36,6 +36,7 @@ EXIT_DOMAIN = 4
 EXIT_IO = 5
 
 _G = "{:.17g}".format
+_COMMA, _LF = ord(","), ord("\n")
 
 _SCAN_HEADERS = {"gate_spacing": "gate_spacing epsilon (internal time)",
                  "flight_distance": "flight_distance L (internal length)"}
@@ -67,11 +68,12 @@ def _write_report(out: Path, report: dict) -> None:
 
 
 def _write_trace_csv(path: Path, trace: IntensityTrace) -> None:
+    body = "".join(map("{:.17g},{:.17g}\r\n".format, trace.times.tolist(),
+                       trace.intensity.tolist()))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t (internal time)", "intensity (internal, |psi|^2)"])
-        for t, i in zip(trace.times, trace.intensity):
-            w.writerow([_G(t), _G(i)])
+        csv.writer(fh).writerow(["t (internal time)",
+                                 "intensity (internal, |psi|^2)"])
+        fh.write(body)
 
 
 def cmd_estimate(args) -> int:
@@ -218,10 +220,8 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def cmd_fringes(args) -> int:
-    path = Path(args.trace)
-    if not path.exists():
-        raise IoError(f"trace file not found: {path}")
+def _read_trace_rows(path: Path) -> tuple:
+    """(times, intensity) read row by row; names the first bad line."""
     times, intensity = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -239,8 +239,58 @@ def cmd_fringes(args) -> int:
                                   f" two finite numbers, got {row!r}")
             times.append(t)
             intensity.append(i)
-    trace = IntensityTrace(times=np.asarray(times),
-                           intensity=np.asarray(intensity),
+    return np.asarray(times), np.asarray(intensity)
+
+
+def _two_cell_records(body: str):
+    """The cells of body, in order, when csv.reader would split it into
+    records of exactly two cells, none longer than the csv field limit;
+    None when that is not certain. A quote left in a cell is no number, so
+    float() rejects it and the caller falls back to the row loop."""
+    if not body:
+        return []
+    body = body.replace("\r\n", "\n")
+    if body.endswith("\n"):
+        body = body[:-1]
+    if "\r" in body:
+        return None
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    at = np.flatnonzero((raw == _COMMA) | (raw == _LF))
+    seps = raw[at]
+    # separators must run ",\n,\n...,": one comma per record, no blank line
+    if (at.size % 2 == 0 or not np.all(seps[0::2] == _COMMA)
+            or not np.all(seps[1::2] == _LF)):
+        return None
+    cell_bytes = np.diff(at, prepend=-1, append=raw.size) - 1
+    if cell_bytes.max() > csv.field_size_limit():
+        return None
+    return body.replace("\n", ",").split(",")
+
+
+def _read_trace_csv(path: Path) -> tuple:
+    """(times, intensity) exactly as _read_trace_rows gives them: parsed in
+    one pass when every record is two plain cells holding finite numbers,
+    else row by row so that the error names the bad line."""
+    with open(path, newline="") as fh:
+        if next(csv.reader(fh), None) is None:
+            raise ConfigError("trace CSV is empty")
+        cells = _two_cell_records(fh.read())
+    if cells is not None:
+        try:  # float() on each cell, as in the row loop
+            values = np.array(cells, dtype=float).reshape(-1, 2)
+        except ValueError:
+            return _read_trace_rows(path)
+        if np.isfinite(values).all():
+            return values[:, 0].copy(), values[:, 1].copy()
+    return _read_trace_rows(path)
+
+
+def cmd_fringes(args) -> int:
+    path = Path(args.trace)
+    if not path.exists():
+        raise IoError(f"trace file not found: {path}")
+    times, intensity = _read_trace_csv(path)
+    trace = IntensityTrace(times=times, intensity=intensity,
                            detector_x=float("nan"), theory="reanalysis")
     out = _out_dir(args)
     try:

@@ -66,6 +66,18 @@ def _report(product: float, setup: PhysicalSetup, formula: str,
                           inputs_echo=echo, formula=formula)
 
 
+def _in_range(name: str, value: float, setup: PhysicalSetup) -> float:
+    """value, if it is a positive finite float; else a DomainError naming
+    the setup keys it was derived from."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(
+            f"{name} = {value:g} leaves the float range for "
+            f"setup.wavelength_nm = {setup.wavelength:g}, setup.photon_count"
+            f" = {setup.photon_count:g}, setup.flight_distance_m = "
+            f"{setup.flight_distance_L:g}")
+    return value
+
+
 def compare_estimates(setup: PhysicalSetup) -> dict:
     """Run the full chain wavelength -> photon energy -> kinetic energy ->
     momentum -> both fringe products; returns both reports and their ratio.
@@ -73,16 +85,25 @@ def compare_estimates(setup: PhysicalSetup) -> dict:
     The report also carries the product computed from the quoted momentum
     value so the kinematic inconsistency stays visible.
     """
-    e_photon = photon_energy(setup.wavelength)
-    e_kin = kinetic_from_photons(setup.photon_count, setup.wavelength)
+    e_photon = _in_range("photon energy (eV)",
+                         photon_energy(setup.wavelength), setup)
+    e_kin = _in_range("kinetic energy (eV)",
+                      kinetic_from_photons(setup.photon_count,
+                                           setup.wavelength), setup)
     cp = momentum_from_kinetic(e_kin, setup.momentum_model)
     chain = {"photon_energy_ev": e_photon, "kinetic_energy_ev": e_kin,
              "cp_ev": cp}
 
-    covariant = _report(stueckelberg_product(setup.flight_distance_L, cp),
-                   setup, STUECKELBERG_EQ, chain)
-    crude = _report(crude_nonrelativistic_product(setup.flight_distance_L,
-                                                  e_kin),
+    covariant = _report(
+        _in_range("covariant eps*T (s^2)",
+                  stueckelberg_product(setup.flight_distance_L, cp), setup),
+        setup, STUECKELBERG_EQ, chain)
+    try:  # E_kin^(-3/2) raises rather than giving inf
+        crude_product = crude_nonrelativistic_product(setup.flight_distance_L,
+                                                      e_kin)
+    except OverflowError:
+        crude_product = math.inf
+    crude = _report(_in_range("crude eps*T (s^2)", crude_product, setup),
                     setup, CRUDE_EQ, chain)
     return {
         "crude": crude,

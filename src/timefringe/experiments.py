@@ -104,6 +104,9 @@ DESK_SCALE = TwoGateConfig()
 
 
 def build_packet(cfg: TwoGateConfig) -> SpacetimePacket:
+    if not 0.0 < cfg.gate_width * cfg.gate_width < math.inf:
+        raise DomainError(f"gate_width = {cfg.gate_width:g}: its square "
+                          "leaves the float range")
     spatial = GaussianSpatialPacket(center_x=cfg.spatial_center,
                                     width_sigma_x=cfg.spatial_width,
                                     mean_momentum_p0=cfg.momentum)
@@ -190,6 +193,10 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
         warnings.warn("gates are wider than their spacing: overlapping-gate "
                       "regime", OverlapWarning, stacklevel=2)
     s = cfg.s_star
+    if not math.isfinite(s):
+        raise DomainError(
+            f"s* = M L / p overflows for flight_distance = "
+            f"{cfg.flight_distance:g} and momentum = {cfg.momentum:g}")
 
     if theory == SCHRODINGER:
         trace, inc = _schrodinger_control_traces(cfg)

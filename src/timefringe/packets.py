@@ -111,6 +111,8 @@ class SpacetimePacket:
         n2 = self.temporal_norm2()
         if n2 <= 0:
             raise DomainError("packet has zero norm")
+        if not math.isfinite(n2):
+            raise DomainError(f"packet norm^2 is {n2}, not finite")
         scale = 1.0 / math.sqrt(n2)
         gates = tuple(replace(g, amplitude=g.amplitude * scale)
                       for g in self.gates)

@@ -42,6 +42,8 @@ STUECKELBERG = "stueckelberg"
 THEORIES = (SCHRODINGER, FLOQUET, STUECKELBERG)
 
 MIN_SAMPLES_PER_CYCLE = 8  # below this the quadrature silently decoheres
+# most samples on one grid axis: about 16 MB per complex array of one axis
+MAX_AXIS_SAMPLES = 2**20
 
 
 def axis_prefactor(mu: float, s, hbar: float = 1.0):
@@ -92,10 +94,13 @@ def propagate_component(comp: GaussianComponent1D, mu: float, s,
     gamma = comp.a - 1j * beta
     if np.any(gamma.real <= 0):
         raise DomainError("non-normalizable component: Re(gamma) <= 0")
+    a_new = -1j * beta + beta * beta / gamma
+    if np.any(a_new.real <= 0):  # the spread width is past the float range
+        raise DomainError(f"envelope spread over s = {np.max(s):g} leaves "
+                          "the float range: Re(a) underflows to 0")
     log_c = np.log(axis_prefactor(mu, s, hbar))
     logamp = (comp.logamp + log_c + 0.5 * np.log(np.pi / gamma)
               + comp.b * comp.b / (4.0 * gamma))
-    a_new = -1j * beta + beta * beta / gamma
     b_new = -1j * beta * comp.b / gamma
     return GaussianComponent1D(logamp=logamp, a=a_new, b=b_new)
 
@@ -349,6 +354,11 @@ def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
         if n_t is None:
             w_min = min(g.width_delta_t for g in packet.gates)
             n_t = _odd(max(129, int(math.ceil((hi_t - lo_t) / (w_min / 12.0)))))
+            if n_t > MAX_AXIS_SAMPLES:
+                raise ResolutionError(
+                    f"resolving gates of width {w_min:g} over a span of "
+                    f"{hi_t - lo_t:g} needs n_t = {n_t}, above the ceiling "
+                    f"of {MAX_AXIS_SAMPLES}", required_n_t=n_t)
     else:
         tcs = [propagate_component(gate_component(g, packet.mean_energy_E0, hbar),
                                    mu_t, s, hbar)

@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import ConfigError, DomainError, IoError
 from .experiments import TwoGateConfig
 from .packets import GATE_PROFILES
-from .propagation import ENGINES, THEORIES
+from .propagation import ENGINES, MAX_AXIS_SAMPLES, THEORIES
 from .units import MOMENTUM_MODELS, PhysicalSetup
 
 _SETUP_DEFAULTS = {
@@ -197,8 +197,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for key in _GRID_DEFAULTS:
         v = grid[key]
         if v is not None and (isinstance(v, bool) or not isinstance(v, int)
-                              or v < 2):
-            raise ConfigError(f"grid.{key} must be an integer >= 2 or null")
+                              or not 2 <= v <= MAX_AXIS_SAMPLES):
+            raise ConfigError(f"grid.{key} must be an integer in "
+                              f"[2, {MAX_AXIS_SAMPLES}] or null")
     tf = analysis["threshold_fraction"]
     _require_number("analysis", "threshold_fraction", tf)
     if not 0.0 < tf < 1.0:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 WIDTH, HEIGHT = 900, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 
@@ -37,10 +39,12 @@ def _ticks(lo: float, hi: float, target: int = 8) -> list:
 
 def line_chart(path, x, y, peaks=None, title: str = "",
                xlabel: str = "", ylabel: str = "", meta: str = "") -> None:
-    x = list(map(float, x))
-    y = list(map(float, y))
-    x_lo, x_hi = min(x), max(x)
-    y_lo, y_hi = min(y), max(y)
+    """Chart y over x; x must be strictly increasing, as a trace's times
+    are. Peak markers sit on the polyline, interpolated between samples."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo, y_hi = float(y.min()), float(y.max())
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -91,27 +95,30 @@ def line_chart(path, x, y, peaks=None, title: str = "",
                    'text-anchor="middle" font-family="sans-serif" '
                    f'font-size="13" transform="rotate(-90 18 '
                    f'{(MARGIN_T + y0) // 2})">{ylabel}</text>')
-    pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+    # sx and sy on whole arrays do the per-point arithmetic in the same
+    # order, so the doubles and the file stay the same
+    pts = " ".join(map("{:.2f},{:.2f}".format, sx(x).tolist(),
+                       sy(y).tolist()))
     out.append(f'  <polyline points="{pts}" fill="none" stroke="#1f4e9c" '
                'stroke-width="1.2"/>')
     if peaks:
-        y_by_x = dict(zip(x, y))
-        for pt in peaks:
-            # peak time may be sub-sample refined; interpolate marker height
-            yy = y_by_x.get(pt)
-            if yy is None:
-                yy = _interp(x, y, pt)
+        for pt, yy in zip(peaks, _heights_at(x, y, peaks)):
             out.append(f'  <circle cx="{sx(pt):.2f}" cy="{sy(yy):.2f}" r="3.5" '
                        'fill="none" stroke="#c23b22" stroke-width="1.5"/>')
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def _interp(x, y, v):
-    if v <= x[0]:
-        return y[0]
-    for i in range(1, len(x)):
-        if v <= x[i]:
+def _heights_at(x: np.ndarray, y: np.ndarray, points) -> list:
+    """y at each point: a sample's own value on a sample and the end value
+    outside [x[0], x[-1]], else linear between the two samples around it
+    (a peak time may be refined between samples)."""
+    n = len(x)
+    heights = []
+    for v, i in zip(points, np.searchsorted(x, points).tolist()):
+        if i in (0, n) or x[i] == v:
+            heights.append(float(y[min(i, n - 1)]))
+        else:
             f = (v - x[i - 1]) / (x[i] - x[i - 1])
-            return y[i - 1] + f * (y[i] - y[i - 1])
-    return y[-1]
+            heights.append(float(y[i - 1] + f * (y[i] - y[i - 1])))
+    return heights

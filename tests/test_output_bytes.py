@@ -1,0 +1,242 @@
+"""The trace writers and the trace reader against the row-by-row code they
+replace: the same bytes out, the same arrays and errors in."""
+
+import csv
+import math
+import re
+
+import numpy as np
+import pytest
+
+from timefringe import cli, svgplot
+from timefringe.errors import ConfigError, NoFringes
+from timefringe.experiments import TwoGateConfig, extract_fringes, two_gate_run
+from timefringe.propagation import ENGINES, THEORIES
+
+
+# ------------------------------------------------------- reference writers
+
+def reference_trace_csv(path, trace):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t (internal time)", "intensity (internal, |psi|^2)"])
+        for t, i in zip(trace.times, trace.intensity):
+            w.writerow([f"{t:.17g}", f"{i:.17g}"])
+
+
+def reference_interp(x, y, v):
+    if v <= x[0]:
+        return y[0]
+    for i in range(1, len(x)):
+        if v <= x[i]:
+            f = (v - x[i - 1]) / (x[i] - x[i - 1])
+            return y[i - 1] + f * (y[i] - y[i - 1])
+    return y[-1]
+
+
+def reference_polyline_and_markers(x, y, peaks):
+    """The points attribute and <circle> lines, one point at a time."""
+    x = list(map(float, x))
+    y = list(map(float, y))
+    x_lo, x_hi = min(x), max(x)
+    y_lo, y_hi = min(y), max(y)
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+    W, H = svgplot.WIDTH, svgplot.HEIGHT
+    L, R, T, B = (svgplot.MARGIN_L, svgplot.MARGIN_R, svgplot.MARGIN_T,
+                  svgplot.MARGIN_B)
+
+    def sx(v):
+        return L + (v - x_lo) / (x_hi - x_lo) * (W - L - R)
+
+    def sy(v):
+        return H - B - (v - y_lo) / (y_hi - y_lo) * (H - T - B)
+
+    pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+    y_by_x = dict(zip(x, y))
+    circles = []
+    for pt in peaks:
+        yy = y_by_x.get(pt)
+        if yy is None:
+            yy = reference_interp(x, y, pt)
+        circles.append(f'  <circle cx="{sx(pt):.2f}" cy="{sy(yy):.2f}" '
+                       'r="3.5" fill="none" stroke="#c23b22" '
+                       'stroke-width="1.5"/>')
+    return pts, circles
+
+
+def _marker_times(trace):
+    """Fringe peaks where there are any, plus a time on a sample, one
+    between samples, and one on each side of the trace."""
+    t = trace.times
+    try:
+        peaks = list(extract_fringes(trace).peak_times)
+    except NoFringes:
+        peaks = []
+    k = len(t) // 3
+    return peaks + [float(t[k]), float(t[0]), float(t[-1]),
+                    0.25 * float(t[k]) + 0.75 * float(t[k + 1]),
+                    float(t[0]) - 1.0, float(t[-1]) + 1.0]
+
+
+@pytest.fixture(scope="module", params=[(th, en) for th in THEORIES
+                                        for en in ENGINES],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def trace(request):
+    theory, engine = request.param
+    return two_gate_run(theory, TwoGateConfig(engine=engine)).trace
+
+
+class TestWriters:
+    def test_trace_csv_matches_csv_writer_loop(self, tmp_path, trace):
+        cli._write_trace_csv(tmp_path / "new.csv", trace)
+        reference_trace_csv(tmp_path / "old.csv", trace)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.startswith(
+            b't (internal time),"intensity (internal, |psi|^2)"\r\n')
+
+    def test_svg_polyline_and_markers_match_point_loop(self, tmp_path,
+                                                       trace):
+        peaks = _marker_times(trace)
+        assert any(p == trace.times[len(trace.times) // 3] for p in peaks)
+        svgplot.line_chart(tmp_path / "t.svg", trace.times, trace.intensity,
+                           peaks=peaks)
+        svg = (tmp_path / "t.svg").read_text()
+        pts, circles = reference_polyline_and_markers(
+            trace.times, trace.intensity, peaks)
+        assert re.search(r'<polyline points="([^"]*)"', svg)[1] == pts
+        assert [ln for ln in svg.splitlines() if "<circle" in ln] == circles
+
+    def test_exact_hit_marker_takes_the_sample(self, tmp_path):
+        # y0 + 1 * (y1 - y0) rounds away from y1 here, so interpolating
+        # onto a sample would move the marker
+        x, y = [0.0, 1.0, 2.0, 3.0], [0.7, 0.1, 0.3, 0.2]
+        assert y[0] + 1.0 * (y[1] - y[0]) != y[1]
+        peaks = [1.0, 0.5, 3.0, -1.0, 4.0, 2.75]
+        svgplot.line_chart(tmp_path / "t.svg", x, y, peaks=peaks)
+        svg = (tmp_path / "t.svg").read_text()
+        pts, circles = reference_polyline_and_markers(x, y, peaks)
+        assert re.search(r'<polyline points="([^"]*)"', svg)[1] == pts
+        assert [ln for ln in svg.splitlines() if "<circle" in ln] == circles
+        want = [y[x.index(p)] if p in x else reference_interp(x, y, p)
+                for p in peaks]
+        assert svgplot._heights_at(np.array(x), np.array(y), peaks) == want
+
+
+# ----------------------------------------------------- reference reader
+
+def reference_read(path):
+    times, intensity = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError("trace CSV is empty")
+        for row in reader:
+            try:
+                t, i = float(row[0]), float(row[1])
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"trace CSV line {reader.line_num}: expected"
+                                  f" two numbers, got {row!r}") from exc
+            if not (math.isfinite(t) and math.isfinite(i)):
+                raise ConfigError(f"trace CSV line {reader.line_num}: expected"
+                                  f" two finite numbers, got {row!r}")
+            times.append(t)
+            intensity.append(i)
+    return np.asarray(times), np.asarray(intensity)
+
+
+HEADER = 't (internal time),"intensity (internal, |psi|^2)"'
+ROWS = ["-6.25,1.2057765329193035e-12", "0.1,3", "1e-320,0.30000000000000004"]
+
+# (name, file text, whether the one-pass parse may take it)
+PARSE_CASES = [
+    ("crlf", HEADER + "\r\n" + "\r\n".join(ROWS) + "\r\n", True),
+    ("lf", HEADER + "\n" + "\n".join(ROWS) + "\n", True),
+    ("no_final_newline", HEADER + "\n" + "\n".join(ROWS), True),
+    ("mixed_endings", f"{HEADER}\n{ROWS[0]}\r\n{ROWS[1]}\n", True),
+    ("header_only", HEADER + "\r\n", True),
+    ("header_no_newline", HEADER, True),
+    ("empty", "", True),
+    ("blank_header", "\n" + "\n".join(ROWS) + "\n", True),
+    ("multiline_header", 't,"a\nb"\n0,1\n2,3\n', True),
+    ("spaces_and_underscores", "t,i\n 0.5 ,1_0\n1.5,\t2\n", True),
+    ("blank_middle", f"t,i\n{ROWS[0]}\n\n{ROWS[1]}\n", False),
+    ("blank_middle_crlf", f"t,i\r\n{ROWS[0]}\r\n\r\n{ROWS[1]}\r\n", False),
+    ("blank_end", f"t,i\n{ROWS[0]}\n\n", False),
+    ("blank_end_crlf", f"t,i\r\n{ROWS[0]}\r\n\r\n", False),
+    ("blank_only_body", "t,i\n\n", False),
+    ("comment_line", f"t,i\n# note\n{ROWS[0]}\n", False),
+    ("comment_after_cell", f"t,i\n{ROWS[0]}# note\n", False),
+    ("quoted_cells", f't,i\n"0.5","1.0"\n{ROWS[1]}\n', False),
+    ("third_column", f"t,i\n0.5,1.0,x\n{ROWS[1]}\n", False),
+    ("one_column", f"t,i\n{ROWS[0]}\n0.5\n", False),
+    ("empty_cell", f"t,i\n{ROWS[0]}\n0.5,\n", False),
+    ("non_numeric", f"t,i\n{ROWS[0]}\n0.5,abc\n", False),
+    ("nan_cell", f"t,i\n{ROWS[0]}\nnan,1.0\n", False),
+    ("inf_cell", f"t,i\n{ROWS[0]}\n0.5,-inf\n", False),
+    ("overflow_cell", f"t,i\n{ROWS[0]}\n0.5,1e999\n", False),
+    ("four_columns", "t,i\n0.5,1,2,3\n", False),
+    ("two_one_column_rows", f"t,i\n{ROWS[0]}\n0.5\n1.5\n", False),
+    ("cr_endings", "t,i\r0.5,1\r1.5,2\r", False),
+    ("cr_inside_row", f"t,i\n0.5\r,1\n{ROWS[1]}\n", False),
+    ("cr_before_crlf", f"t,i\r\n{ROWS[0]}\r\r\n", False),
+    ("quoted_newline", f't,i\n"0.5\n",1\n{ROWS[1]}\n', False),
+]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name,text,one_pass", PARSE_CASES,
+                         ids=[c[0] for c in PARSE_CASES])
+def test_trace_parse_matches_row_loop(tmp_path, monkeypatch, name, text,
+                                      one_pass):
+    path = tmp_path / "trace.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    want = _outcome(reference_read, path)
+    row_loop_calls = []
+    row_loop = cli._read_trace_rows
+
+    def counted(p):
+        row_loop_calls.append(p)
+        return row_loop(p)
+
+    monkeypatch.setattr(cli, "_read_trace_rows", counted)
+    got = _outcome(cli._read_trace_csv, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float64
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    if one_pass:
+        assert row_loop_calls == []
+
+
+def test_oversized_cell_falls_back_to_row_loop(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,i\n0.5,0." + "1" * csv.field_size_limit() + "\n")
+    with pytest.raises(csv.Error):
+        reference_read(path)
+    with pytest.raises(csv.Error):
+        cli._read_trace_csv(path)
+
+
+def test_written_trace_reads_back_bit_for_bit(tmp_path, trace):
+    cli._write_trace_csv(tmp_path / "trace.csv", trace)
+    times, intensity = cli._read_trace_csv(tmp_path / "trace.csv")
+    assert np.array_equal(times.view(np.int64), trace.times.view(np.int64))
+    assert np.array_equal(intensity.view(np.int64),
+                          trace.intensity.view(np.int64))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from timefringe import experiments
 from timefringe.cli import main
 from timefringe.errors import ConfigError, IoError
+from timefringe.propagation import MAX_AXIS_SAMPLES
 from timefringe.scenario import Scenario, parse_scenario, scenario_from_dict
 
 
@@ -21,11 +22,15 @@ _NUMBER_FIELDS = [
 ]
 
 
-def assert_config_error(tmp_path, capsys, command, section, key, value):
+def run_one_key(tmp_path, command, section, key, value, *extra):
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps({section: {key: value}}))
-    assert main([command, "--scenario", str(sc),
-                 "--out", str(tmp_path / "out")]) == 2
+    return main([command, "--scenario", str(sc),
+                 "--out", str(tmp_path / "out"), *extra])
+
+
+def assert_config_error(tmp_path, capsys, command, section, key, value):
+    assert run_one_key(tmp_path, command, section, key, value) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
@@ -103,6 +108,14 @@ class TestScenarioSchema:
         assert main(["simulate", "--scenario", str(sc),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("key", ["n_x", "n_t"])
+    def test_grid_size_ceiling(self, tmp_path, capsys, key):
+        sc = scenario_from_dict({"grid": {key: MAX_AXIS_SAMPLES}})
+        assert sc.grid[key] == MAX_AXIS_SAMPLES
+        for value in (MAX_AXIS_SAMPLES + 1, 10**30):
+            assert_config_error(tmp_path, capsys, "simulate", "grid", key,
+                                value)
+
     def test_parse_scenario_io(self, tmp_path):
         with pytest.raises(IoError):
             parse_scenario(tmp_path / "missing.json")
@@ -142,6 +155,15 @@ class TestScenarioProperties:
 
 
 class TestCliEstimate:
+    # the photon energy overflows; the crude product underflows to 0
+    @pytest.mark.parametrize("key,value", [
+        ("wavelength_nm", 1e-320),
+        pytest.param("photon_count", 10**300, id="photon_count-10**300")])
+    def test_out_of_float_range_chain_is_domain_error(self, tmp_path, capsys,
+                                                      key, value):
+        assert run_one_key(tmp_path, "estimate", "setup", key, value) == 4
+        assert f"setup.{key}" in capsys.readouterr().err
+
     def test_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["estimate", "--out", str(out)]) == 0
@@ -213,6 +235,28 @@ class TestCliSimulate:
         err = capsys.readouterr().err
         assert "detector_x = 60" in err
         assert "[-22.7513, 26.7513]" in err
+
+    # s* = M L / p overflows; the gate variance overflows; at s = 5e200
+    # the spread width leaves the float range
+    @pytest.mark.filterwarnings("ignore::timefringe.errors.OverlapWarning")
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("sim", "flight_distance", 1e308, "flight_distance = 1e+308"),
+        ("packet", "momentum", 1e-308, "momentum = 1e-308"),
+        ("packet", "gate_width", 1e300, "gate_width = 1e+300"),
+        ("sim", "flight_distance", 1e200, "s = 5e+200"),
+    ])
+    def test_out_of_float_range_run_is_domain_error(self, tmp_path, capsys,
+                                                    section, key, value,
+                                                    named):
+        assert run_one_key(tmp_path, "simulate", section, key, value) == 4
+        assert named in capsys.readouterr().err
+
+    def test_time_grid_past_ceiling_is_resolution_error(self, tmp_path,
+                                                        capsys):
+        # the time-shift grid samples each gate width 12 times: 1.4e12
+        assert run_one_key(tmp_path, "simulate", "packet", "gate_width",
+                           1e-10, "--theory", "floquet") == 3
+        assert f"ceiling of {MAX_AXIS_SAMPLES}" in capsys.readouterr().err
 
     def test_bad_scenario_is_config_error(self, tmp_path):
         sc = tmp_path / "sc.json"
