@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -190,7 +191,7 @@ def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     rows = visibility_scan(scenario.theory, cfg, values,
                            scenario.analysis["threshold_fraction"],
-                           workers=args.workers, param=args.param)
+                           param=args.param)
 
     out = _out_dir(args)
     with open(out / "scan.csv", "w", newline="") as fh:
@@ -225,20 +226,23 @@ def _read_trace_rows(path: Path) -> tuple:
     times, intensity = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError("trace CSV is empty")
-        for row in reader:
-            try:
-                t, i = float(row[0]), float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"trace CSV line {reader.line_num}: expected"
-                                  f" two numbers, got {row!r}") from exc
-            if not (math.isfinite(t) and math.isfinite(i)):
-                raise ConfigError(f"trace CSV line {reader.line_num}: expected"
-                                  f" two finite numbers, got {row!r}")
-            times.append(t)
-            intensity.append(i)
+
+        def bad(what: str) -> ConfigError:
+            return ConfigError(f"trace CSV line {reader.line_num}: {what}")
+        try:
+            if next(reader, None) is None:
+                raise ConfigError("trace CSV is empty")
+            for row in reader:
+                try:
+                    t, i = float(row[0]), float(row[1])
+                except (ValueError, IndexError) as exc:
+                    raise bad(f"expected two numbers, got {row!r}") from exc
+                if not (math.isfinite(t) and math.isfinite(i)):
+                    raise bad(f"expected two finite numbers, got {row!r}")
+                times.append(t)
+                intensity.append(i)
+        except csv.Error as exc:  # such as a cell past csv.field_size_limit()
+            raise bad(str(exc)) from exc
     return np.asarray(times), np.asarray(intensity)
 
 
@@ -272,8 +276,11 @@ def _read_trace_csv(path: Path) -> tuple:
     one pass when every record is two plain cells holding finite numbers,
     else row by row so that the error names the bad line."""
     with open(path, newline="") as fh:
-        if next(csv.reader(fh), None) is None:
-            raise ConfigError("trace CSV is empty")
+        try:
+            if next(csv.reader(fh), None) is None:
+                raise ConfigError("trace CSV is empty")
+        except csv.Error:  # the row loop names the line
+            return _read_trace_rows(path)
         cells = _two_cell_records(fh.read())
     if cells is not None:
         try:  # float() on each cell, as in the row loop
@@ -316,6 +323,7 @@ def cmd_fringes(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="timefringe",
@@ -344,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--param", required=True, choices=SCAN_PARAMS)
     p_scan.add_argument("--values", required=True,
                         help="comma-separated values")
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; starts no threads")
     p_scan.add_argument("--engine", choices=ENGINES)
     p_scan.add_argument("--theory", choices=THEORIES)
     p_scan.set_defaults(func=cmd_scan)

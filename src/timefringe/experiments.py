@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,13 +102,30 @@ class TwoGateConfig:
 DESK_SCALE = TwoGateConfig()
 
 
+def _spatial_packet(cfg: TwoGateConfig) -> GaussianSpatialPacket:
+    """The spatial Gaussian, whose coefficients 1/2w^2, x0/w^2, its square
+    and x0^2/2w^2 must lie inside the float range."""
+    w, x0 = cfg.spatial_width, cfg.spatial_center
+    w2 = w * w
+    if not (0.0 < w2 < math.inf and 0.5 / w2 < math.inf
+            and x0 * x0 / w2 < math.inf
+            and (x0 / w2) * (x0 / w2) < math.inf):
+        raise DomainError(f"spatial_width = {w:g}, spatial_center = {x0:g}: "
+                          "the Gaussian's coefficients leave the float range")
+    return GaussianSpatialPacket(center_x=x0, width_sigma_x=w,
+                                 mean_momentum_p0=cfg.momentum)
+
+
 def build_packet(cfg: TwoGateConfig) -> SpacetimePacket:
     if not 0.0 < cfg.gate_width * cfg.gate_width < math.inf:
         raise DomainError(f"gate_width = {cfg.gate_width:g}: its square "
                           "leaves the float range")
-    spatial = GaussianSpatialPacket(center_x=cfg.spatial_center,
-                                    width_sigma_x=cfg.spatial_width,
-                                    mean_momentum_p0=cfg.momentum)
+    for key in ("gate_spacing", "momentum"):  # gate overlap, carrier energy
+        value = getattr(cfg, key)
+        if not value * value < math.inf:
+            raise DomainError(f"{key} = {value:g}: its square leaves the "
+                              "float range")
+    spatial = _spatial_packet(cfg)
     gates = (TimeGate(center_t=0.0, width_delta_t=cfg.gate_width,
                       profile=cfg.gate_profile),
              TimeGate(center_t=cfg.gate_spacing, width_delta_t=cfg.gate_width,
@@ -160,10 +176,7 @@ def _schrodinger_control_traces(cfg: TwoGateConfig):
     for coherence between emissions at different times, so the output is a
     mixed state and the cross term is absent by construction.
     """
-    spatial = GaussianSpatialPacket(center_x=cfg.spatial_center,
-                                    width_sigma_x=cfg.spatial_width,
-                                    mean_momentum_p0=cfg.momentum)
-    comp0 = spatial_component(spatial, cfg.hbar)
+    comp0 = spatial_component(_spatial_packet(cfg), cfg.hbar)
     t_flight = cfg.mass * cfg.flight_distance / cfg.momentum
 
     spread = propagate_component(comp0, cfg.mass, t_flight, cfg.hbar)
@@ -267,20 +280,19 @@ def extract_fringes(trace: IntensityTrace, threshold_fraction: float = 0.1,
         raise NoFringes("trace carries no intensity")
     mean_t = float(np.sum(t * y) / total)
     sigma_t = math.sqrt(max(float(np.sum((t - mean_t) ** 2 * y) / total), 0.0))
-    window = np.abs(t - mean_t) <= 1.5 * sigma_t
-    if sigma_t == 0.0 or np.count_nonzero(window) < 3:
+    idx = np.flatnonzero(np.abs(t - mean_t) <= 1.5 * sigma_t)
+    if sigma_t == 0.0 or idx.size < 3:
         raise NoFringes("central window too narrow for peak analysis")
-    idx = np.flatnonzero(window)
     lo, hi = idx[0], idx[-1]
     w_max = float(np.max(y[lo:hi + 1]))
     w_min = float(np.min(y[lo:hi + 1]))
     threshold = threshold_fraction * w_max
 
-    peaks = []
-    for i in range(max(lo, 1), min(hi, len(y) - 2) + 1):
-        # leftmost sample of a plateau counts as the peak
-        if y[i] > y[i - 1] and y[i] >= y[i + 1] and y[i] >= threshold:
-            peaks.append(_refine_peak(t, y, i))
+    a, b = max(lo, 1), min(hi, len(y) - 2)
+    mid = y[a:b + 1]
+    # leftmost sample of a plateau counts as the peak
+    hit = (mid > y[a - 1:b]) & (mid >= y[a + 1:b + 2]) & (mid >= threshold)
+    peaks = [_refine_peak(t, y, i) for i in (np.flatnonzero(hit) + a).tolist()]
     if len(peaks) < 2:
         raise NoFringes(f"found {len(peaks)} peak(s); need at least 2")
 
@@ -305,11 +317,11 @@ class ScanRow:
 
 
 def visibility_scan(theory: str, cfg: TwoGateConfig, values,
-                    threshold_fraction: float = 0.1, workers: int = 1,
+                    threshold_fraction: float = 0.1,
                     param: str = "gate_spacing") -> list:
     """Two-gate run and fringe extraction per value of the config field
-    param; per-row failures are recorded in the row and the scan continues.
-    Rows come back in input order regardless of worker count."""
+    param, in input order in the calling thread; per-row failures are
+    recorded in the row and the scan continues."""
     if param not in SCAN_PARAMS:
         raise DomainError(f"scan param must be one of {SCAN_PARAMS}")
     values = list(values)
@@ -333,7 +345,4 @@ def visibility_scan(theory: str, cfg: TwoGateConfig, values,
             return ScanRow(value=value, visibility=float("nan"),
                            spacing_T=None, error=f"{type(exc).__name__}: {exc}")
 
-    if workers <= 1:
-        return [one(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, values))
+    return [one(v) for v in values]

@@ -4,12 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from timefringe.errors import (DomainError, NoFringes, OverlapWarning,
                                ResolutionError)
 from timefringe.experiments import (DESK_SCALE, IntensityTrace, TwoGateConfig,
-                                    build_packet, extract_fringes,
-                                    two_gate_run, visibility_scan)
+                                    _refine_peak, build_packet,
+                                    extract_fringes, two_gate_run,
+                                    visibility_scan)
 from timefringe.numerics import simpson_weights
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
                                     SCHRODINGER, STUECKELBERG,
@@ -189,7 +192,67 @@ def planted_trace(period=0.5, n=4001, center=10.0, envelope_sigma=3.0):
                           detector_x=0.0, theory="synthetic")
 
 
+def reference_peak_times(trace, threshold_fraction):
+    """The per-sample peak loop extract_fringes ran before its numpy form,
+    behind the same guards, over the same central window."""
+    t, y = trace.times, trace.intensity
+    total = float(np.sum(y))
+    if total <= 0:
+        raise NoFringes("trace carries no intensity")
+    mean_t = float(np.sum(t * y) / total)
+    sigma_t = math.sqrt(max(float(np.sum((t - mean_t) ** 2 * y) / total), 0.0))
+    window = np.abs(t - mean_t) <= 1.5 * sigma_t
+    if sigma_t == 0.0 or np.count_nonzero(window) < 3:
+        raise NoFringes("central window too narrow for peak analysis")
+    idx = np.flatnonzero(window)
+    lo, hi = idx[0], idx[-1]
+    threshold = threshold_fraction * float(np.max(y[lo:hi + 1]))
+    peaks = []
+    for i in range(max(lo, 1), min(hi, len(y) - 2) + 1):
+        if y[i] > y[i - 1] and y[i] >= y[i + 1] and y[i] >= threshold:
+            peaks.append(_refine_peak(t, y, i))
+    if len(peaks) < 2:
+        raise NoFringes(f"found {len(peaks)} peak(s); need at least 2")
+    return peaks
+
+
+@st.composite
+def quantized_traces(draw):
+    """Integer levels 0..8, so that plateaus, ties and samples exactly at
+    the threshold are common. Ends raised to 8 * 2^m pull the window out to
+    samples 0 and n - 1 and move the threshold onto other levels."""
+    n = draw(st.integers(3, 40))
+    y = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    end = draw(st.sampled_from([None, 8, 16, 32, 64, 128]))
+    if end is not None:
+        y[0] = y[-1] = end
+    steps = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=n,
+                          max_size=n))
+    return IntensityTrace(times=np.cumsum(steps), intensity=np.array(y, float),
+                          detector_x=0.0, theory="synthetic")
+
+
+def _peaks_or_reason(find, trace, fraction):
+    try:
+        return find(trace, fraction)
+    except NoFringes as exc:
+        return f"NoFringes: {exc}"
+
+
 class TestExtractFringes:
+    # a plateau at exactly the threshold, 8 = 64 / 8, inside a window that
+    # spans every sample
+    @example(IntensityTrace(times=np.arange(10.0),
+                            intensity=np.array([64.0, 0, 8, 8, 0, 4, 0, 8, 0,
+                                                64]),
+                            detector_x=0.0, theory="synthetic"), 0.125)
+    @settings(max_examples=400, deadline=None)
+    @given(quantized_traces(), st.sampled_from([0.125, 0.25, 0.375, 0.5]))
+    def test_peaks_match_per_sample_reference(self, trace, fraction):
+        got = _peaks_or_reason(
+            lambda tr, f: extract_fringes(tr, f).peak_times, trace, fraction)
+        assert got == _peaks_or_reason(reference_peak_times, trace, fraction)
+
     def test_recovers_planted_period(self):
         trace = planted_trace(period=0.5)
         step = trace.times[1] - trace.times[0]
@@ -259,11 +322,22 @@ class TestVisibilityScan:
         assert rows[0].spacing_T == pytest.approx(2 * rows[1].spacing_T,
                                                   rel=0.05)
 
-    def test_worker_counts_agree(self):
-        eps = [12.0, 18.0, 24.0]
-        serial = visibility_scan(STUECKELBERG, DESK_SCALE, eps, workers=1)
-        parallel = visibility_scan(STUECKELBERG, DESK_SCALE, eps, workers=3)
-        assert serial == parallel
+    @pytest.mark.parametrize("param,values", [
+        ("gate_spacing", [12.0, 24.0, 18.0]),
+        ("flight_distance", [3.0, 2.0]),
+    ])
+    def test_rows_equal_direct_runs(self, param, values):
+        rows = visibility_scan(STUECKELBERG, DESK_SCALE, values, 0.1,
+                               param=param)
+        for row, value in zip(rows, values, strict=True):
+            outcome = two_gate_run(STUECKELBERG,
+                                   replace(DESK_SCALE, **{param: value}))
+            report = extract_fringes(outcome.trace, 0.1,
+                                     outcome.predicted_spacing)
+            assert row.value == value
+            assert row.visibility == outcome.interference_visibility
+            assert row.spacing_T == report.spacing_T
+            assert row.error is None
 
     def test_bad_row_is_isolated(self):
         rows = visibility_scan(STUECKELBERG, DESK_SCALE, [12.0, -1.0])

@@ -225,13 +225,23 @@ def test_trace_parse_matches_row_loop(tmp_path, monkeypatch, name, text,
         assert row_loop_calls == []
 
 
-def test_oversized_cell_falls_back_to_row_loop(tmp_path):
+def test_oversized_cell_falls_back_to_row_loop(tmp_path, capsys):
+    # the row loop turns csv.Error into a configuration error naming the line
     path = tmp_path / "trace.csv"
-    path.write_text("t,i\n0.5,0." + "1" * csv.field_size_limit() + "\n")
-    with pytest.raises(csv.Error):
-        reference_read(path)
-    with pytest.raises(csv.Error):
-        cli._read_trace_csv(path)
+    cell = "1" * csv.field_size_limit()
+    for text, line in [(f"t,i\n0.5,0.{cell}\n", 2),
+                       (f"t{cell},i\n0.5,0.1\n", 1),
+                       (f"t,i\n0.5,0.1\n0.6,\"0.{cell}\n", 3)]:
+        path.write_text(text)
+        with pytest.raises(csv.Error):
+            reference_read(path)
+        with pytest.raises(ConfigError, match=f"trace CSV line {line}: "
+                           "field larger than field limit"):
+            cli._read_trace_csv(path)
+        assert cli.main(["fringes", "--trace", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert (f"config error: trace CSV line {line}:"
+                in capsys.readouterr().err)
 
 
 def test_written_trace_reads_back_bit_for_bit(tmp_path, trace):

@@ -237,19 +237,48 @@ class TestCliSimulate:
         assert "[-22.7513, 26.7513]" in err
 
     # s* = M L / p overflows; the gate variance overflows; at s = 5e200
-    # the spread width leaves the float range
+    # the spread width leaves the float range; p^2 in the carrier energy,
+    # eps^2 in the gate overlap, 1/w^2 and x0^2/w^2 in the spatial Gaussian
+    # overflow
     @pytest.mark.filterwarnings("ignore::timefringe.errors.OverlapWarning")
-    @pytest.mark.parametrize("section,key,value,named", [
-        ("sim", "flight_distance", 1e308, "flight_distance = 1e+308"),
-        ("packet", "momentum", 1e-308, "momentum = 1e-308"),
-        ("packet", "gate_width", 1e300, "gate_width = 1e+300"),
-        ("sim", "flight_distance", 1e200, "s = 5e+200"),
+    @pytest.mark.parametrize("section,key,value,named,theory", [
+        ("sim", "flight_distance", 1e308, "flight_distance = 1e+308",
+         "stueckelberg"),
+        ("packet", "momentum", 1e-308, "momentum = 1e-308", "stueckelberg"),
+        ("packet", "gate_width", 1e300, "gate_width = 1e+300", "stueckelberg"),
+        ("sim", "flight_distance", 1e200, "s = 5e+200", "stueckelberg"),
+        ("packet", "momentum", 1e300, "momentum = 1e+300", "stueckelberg"),
+        ("packet", "momentum", 1e300, "momentum = 1e+300", "floquet"),
+        ("packet", "gate_spacing", 1e300, "gate_spacing = 1e+300",
+         "stueckelberg"),
+        ("packet", "gate_spacing", 1e300, "gate_spacing = 1e+300", "floquet"),
+        ("packet", "spatial_width", 1e-300, "spatial_width = 1e-300",
+         "stueckelberg"),
+        ("packet", "spatial_width", 1e-300, "spatial_width = 1e-300",
+         "floquet"),
+        ("packet", "spatial_width", 1e-300, "spatial_width = 1e-300",
+         "schrodinger_control"),
+        ("packet", "spatial_center", -1e300, "spatial_center = -1e+300",
+         "schrodinger_control"),
     ])
     def test_out_of_float_range_run_is_domain_error(self, tmp_path, capsys,
                                                     section, key, value,
-                                                    named):
-        assert run_one_key(tmp_path, "simulate", section, key, value) == 4
+                                                    named, theory):
+        assert run_one_key(tmp_path, "simulate", section, key, value,
+                           "--theory", theory) == 4
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theory", ["stueckelberg",
+                                        "schrodinger_control"])
+    def test_spatial_coefficient_overflow_is_domain_error(self, tmp_path,
+                                                          capsys, theory):
+        # x0^2 / w^2 is finite, but (x0 / w^2)^2 overflows
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"packet": {"spatial_center": 1e150,
+                                             "spatial_width": 1e-3}}))
+        assert main(["simulate", "--theory", theory, "--scenario", str(sc),
+                     "--out", str(tmp_path / "out")]) == 4
+        assert "spatial_center = 1e+150" in capsys.readouterr().err
 
     def test_time_grid_past_ceiling_is_resolution_error(self, tmp_path,
                                                         capsys):
@@ -279,6 +308,22 @@ class TestCliScan:
                          "--workers", str(workers), "--out", str(out)]) == 0
             outputs.append((out / "scan.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_scan_starts_no_thread(self, tmp_path, monkeypatch):
+        counts = []
+        run = experiments.two_gate_run
+
+        def counted(theory, cfg):
+            counts.append(threading.active_count())
+            return run(theory, cfg)
+
+        monkeypatch.setattr(experiments, "two_gate_run", counted)
+        before = threading.active_count()
+        assert main(["scan", "--param", "gate_spacing",
+                     "--values", "12,18,24", "--workers", "4",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert counts == [before] * 3
+        assert threading.active_count() == before
 
     def test_flight_distance_scan(self, tmp_path):
         out = tmp_path / "out"
