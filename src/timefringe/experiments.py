@@ -23,13 +23,15 @@ import numpy as np
 from .errors import DomainError, NoFringes, OverlapWarning, ResolutionError
 from .packets import (GAUSSIAN, GATE_PROFILES, GaussianSpatialPacket,
                       SpacetimePacket, TimeGate)
-from .propagation import (CLOSED_FORM, ENGINES, SCHRODINGER, STUECKELBERG,
-                          THEORIES, auto_output_grid, propagate_component,
-                          propagate_spacetime, spatial_component)
+from .propagation import (CLOSED_FORM, ENGINES, MAX_AXIS_SAMPLES, SCHRODINGER,
+                          STUECKELBERG, THEORIES, auto_output_grid,
+                          propagate_component, propagate_spacetime,
+                          spatial_component)
 # perfbench/tracing.py wraps these two by name in this module.
 from .propagation import propagate_floquet, propagate_stueckelberg  # noqa
 
 MIN_SAMPLES_PER_FRINGE = 8  # below this the peak spacing is off by percents
+MIN_SAMPLES_PER_ARRIVAL = 8  # control trace samples per arrival-pulse sigma
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,6 @@ class TwoGateConfig:
     spatial_center: float = 0.0
     momentum: float = 0.2
     carrier_energy: float | None = None   # None: M c^2 + p^2 / 2M
-    mass: float = 1.0
-    c: float = 1.0
-    hbar: float = 1.0
     s_override: float | None = None       # None: s* = M L / p0
     detector_x: float | None = None       # None: flight_distance
     engine: str = CLOSED_FORM
@@ -76,14 +75,13 @@ class TwoGateConfig:
     def s_star(self) -> float:
         if self.s_override is not None:
             return self.s_override
-        return self.mass * self.flight_distance / self.momentum
+        return self.flight_distance / self.momentum
 
     @property
     def carrier(self) -> float:
         if self.carrier_energy is not None:
             return self.carrier_energy
-        return (self.mass * self.c**2
-                + self.momentum**2 / (2.0 * self.mass))
+        return 1.0 + self.momentum**2 / 2.0
 
     @property
     def detector(self) -> float:
@@ -95,8 +93,8 @@ class TwoGateConfig:
         T = 2 pi hbar L / (<p> c^2 epsilon)."""
         if self.gate_spacing == 0:
             raise DomainError("no fringe prediction for zero gate spacing")
-        return (2.0 * math.pi * self.hbar * self.flight_distance
-                / (self.momentum * self.c**2 * self.gate_spacing))
+        return (2.0 * math.pi * self.flight_distance
+                / (self.momentum * self.gate_spacing))
 
 
 DESK_SCALE = TwoGateConfig()
@@ -154,7 +152,6 @@ class IntensityTrace:
 class FringeReport:
     peak_times: list
     spacing_T: float
-    spacing_T_predicted: float | None
     visibility: float
     relative_error: float | None
 
@@ -176,22 +173,39 @@ def _schrodinger_control_traces(cfg: TwoGateConfig):
     for coherence between emissions at different times, so the output is a
     mixed state and the cross term is absent by construction.
     """
-    comp0 = spatial_component(_spatial_packet(cfg), cfg.hbar)
-    t_flight = cfg.mass * cfg.flight_distance / cfg.momentum
+    # free evolution commutes with translations: the packet starts at 0
+    # and the detector sits at the distance it has to travel
+    comp0 = spatial_component(replace(_spatial_packet(cfg), center_x=0.0))
+    distance = cfg.detector - cfg.spatial_center
+    t_flight = distance / cfg.momentum
+    if not 0.0 < t_flight < math.inf:
+        raise DomainError(
+            f"flight time (detector_x - spatial_center) / momentum = "
+            f"{t_flight:g} is not positive and finite")
 
-    spread = propagate_component(comp0, cfg.mass, t_flight, cfg.hbar)
-    sigma_arrival = (spread.intensity_sigma * cfg.mass / cfg.momentum)
+    spread = propagate_component(comp0, 1.0, t_flight)
+    sigma_arrival = spread.intensity_sigma / cfg.momentum
     center = t_flight + 0.5 * cfg.gate_spacing
     half = 4.0 * sigma_arrival + cfg.gate_spacing
     n_t = cfg.n_t or 2049
+    per_sigma = sigma_arrival * (n_t - 1) / (2.0 * half)
+    if not per_sigma >= MIN_SAMPLES_PER_ARRIVAL:
+        span = MIN_SAMPLES_PER_ARRIVAL * 2.0 * half
+        need = (math.ceil(span / sigma_arrival) + 1
+                if span < (MAX_AXIS_SAMPLES - 1) * sigma_arrival else None)
+        advice = (f"need n_t >= {need}" if need else
+                  f"that needs more than the ceiling of {MAX_AXIS_SAMPLES}")
+        raise ResolutionError(
+            f"t grid gives {per_sigma:.3g} samples per arrival-pulse sigma "
+            f"(< {MIN_SAMPLES_PER_ARRIVAL}); {advice}", required_n_t=need)
     times = np.linspace(center - half, center + half, n_t)
 
     # one row per gate: each pulse reaches the detector after it opens
     elapsed = times - np.array([[0.0], [cfg.gate_spacing]])
     later = elapsed > 0
-    comp = propagate_component(comp0, cfg.mass, elapsed[later], cfg.hbar)
+    comp = propagate_component(comp0, 1.0, elapsed[later])
     pulses = np.zeros(elapsed.shape)
-    pulses[later] = 0.5 * np.abs(comp(cfg.detector)) ** 2
+    pulses[later] = 0.5 * np.abs(comp(distance)) ** 2
     trace = IntensityTrace(times=times, intensity=pulses[0] + pulses[1],
                            detector_x=cfg.detector, theory=SCHRODINGER)
     return trace, trace
@@ -218,8 +232,7 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
                               s_elapsed=s, predicted_spacing=None)
 
     packet = build_packet(cfg)
-    grid = auto_output_grid(packet, theory, s, cfg.mass, cfg.c, cfg.hbar,
-                            n_x=cfg.n_x, n_t=cfg.n_t)
+    grid = auto_output_grid(packet, theory, s, n_x=cfg.n_x, n_t=cfg.n_t)
     if not grid.x_min <= cfg.detector <= grid.x_max:
         raise DomainError(
             f"detector_x = {cfg.detector:g} lies outside the x grid "
@@ -233,8 +246,7 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
             f"t grid gives {predicted / grid.dt:.2f} samples per predicted "
             f"fringe (< {MIN_SAMPLES_PER_FRINGE}); need n_t >= {need}",
             required_n_t=need)
-    result = propagate_spacetime(packet, theory, s, cfg.engine, grid=grid,
-                                 mass=cfg.mass, c=cfg.c, hbar=cfg.hbar)
+    result = propagate_spacetime(packet, theory, s, cfg.engine, grid=grid)
     # the field is X(x) sum_k T_k(t); the incoherent reference drops the
     # cross terms between gates
     ix = int(np.argmin(np.abs(grid.x - cfg.detector)))
@@ -301,7 +313,6 @@ def extract_fringes(trace: IntensityTrace, threshold_fraction: float = 0.1,
     rel = (abs(spacing - predicted_spacing) / predicted_spacing
            if predicted_spacing else None)
     return FringeReport(peak_times=peaks, spacing_T=spacing,
-                        spacing_T_predicted=predicted_spacing,
                         visibility=visibility, relative_error=rel)
 
 

@@ -1,5 +1,6 @@
 """Space-time wave packets: a spatial Gaussian times a sum of time gates
-times a plane-wave carrier exp(i (p0 x - E0 t) / hbar).
+times a plane-wave carrier exp(i (p0 x - E0 t)), in internal units
+hbar = M = c = 1.
 
 Width conventions: the "width" of every Gaussian envelope is the standard
 deviation of the amplitude; the intensity standard deviation is width/sqrt(2).
@@ -27,20 +28,18 @@ class GaussianSpatialPacket:
     center_x: float = 0.0
     width_sigma_x: float = 1.0
     mean_momentum_p0: float = 0.0
-    global_phase: float = 0.0
 
     def __post_init__(self):
         if self.width_sigma_x <= 0:
             raise DomainError("width_sigma_x must be > 0")
 
-    def amplitude(self, x, hbar: float = 1.0):
+    def amplitude(self, x):
         """L2-normalized amplitude, carrier included."""
         x = np.asarray(x, dtype=float)
         w = self.width_sigma_x
         norm = (math.pi * w * w) ** -0.25
         env = np.exp(-((x - self.center_x) ** 2) / (2.0 * w * w))
-        carrier = np.exp(1j * (self.mean_momentum_p0 * x / hbar
-                               + self.global_phase))
+        carrier = np.exp(1j * (self.mean_momentum_p0 * x))
         return norm * env * carrier
 
 
@@ -78,14 +77,14 @@ class SpacetimePacket:
         if len(self.gates) < 1:
             raise DomainError("SpacetimePacket needs at least one gate")
 
-    def gate_terms(self, t, hbar: float = 1.0) -> list:
+    def gate_terms(self, t) -> list:
         """Each gate's envelope times the carrier; they sum to gate_sum."""
         t = np.asarray(t, dtype=float)
-        carrier = np.exp(-1j * self.mean_energy_E0 * t / hbar)
+        carrier = np.exp(-1j * self.mean_energy_E0 * t)
         return [g.envelope(t) * carrier for g in self.gates]
 
-    def gate_sum(self, t, hbar: float = 1.0):
-        return sum(self.gate_terms(t, hbar))
+    def gate_sum(self, t):
+        return sum(self.gate_terms(t))
 
     def temporal_norm2(self) -> float:
         """Closed-form (Gaussian) or fine-quadrature (rectangular) value of
@@ -188,8 +187,7 @@ class Moments:
     sigma_t: float
 
 
-def expectations(field: np.ndarray, grid: Grid2D,
-                 hbar: float = 1.0) -> Moments:
+def expectations(field: np.ndarray, grid: Grid2D) -> Moments:
     """First and second moments of |psi|^2 plus derivative-based mean
     momentum / energy of a field sampled on the grid."""
     intensity = np.abs(field) ** 2
@@ -207,8 +205,8 @@ def expectations(field: np.ndarray, grid: Grid2D,
 
     dpsi_dx = np.gradient(field, grid.dx, axis=0)
     dpsi_dt = np.gradient(field, grid.dt, axis=1)
-    mean_p = float((wx @ (np.conj(field) * (-1j * hbar) * dpsi_dx) @ wt).real) / n2
-    mean_e = float((wx @ (np.conj(field) * (1j * hbar) * dpsi_dt) @ wt).real) / n2
+    mean_p = float((wx @ (np.conj(field) * -1j * dpsi_dx) @ wt).real) / n2
+    mean_e = float((wx @ (np.conj(field) * 1j * dpsi_dt) @ wt).real) / n2
 
     return Moments(mean_x=mean_x, mean_t=mean_t, mean_p=mean_p, mean_E=mean_e,
                    sigma_x=math.sqrt(max(var_x, 0.0)),

@@ -110,6 +110,29 @@ class TestTwoGateRun:
         significant = y[1:-1] >= 0.1 * np.max(y)
         assert np.count_nonzero(interior & significant) <= 2
 
+    def test_control_window_follows_source_and_detector(self):
+        # the window centres on the arrival time (x_d - x0) / p, so moving
+        # the source by -998 gives the trace of moving the detector by +998
+        far = two_gate_run(SCHRODINGER, replace(DESK_SCALE, detector_x=1000.0))
+        back = two_gate_run(SCHRODINGER,
+                            replace(DESK_SCALE, spatial_center=-998.0))
+        np.testing.assert_array_equal(far.trace.times, back.trace.times)
+        np.testing.assert_array_equal(far.trace.intensity,
+                                      back.trace.intensity)
+        y = far.trace.intensity
+        assert 0 < int(np.argmax(y)) < len(y) - 1  # the peak is inside
+
+    @pytest.mark.parametrize("change,need", [
+        ({"momentum": 1e3}, 54371),      # 0.30 samples per arrival sigma
+        ({"gate_spacing": 1e4}, 8469)])  # 1.9
+    def test_unresolved_arrival_raises_with_required_n_t(self, change, need):
+        cfg = replace(DESK_SCALE, **change)
+        with pytest.raises(ResolutionError) as err:
+            two_gate_run(SCHRODINGER, cfg)
+        assert err.value.required_n_t == need
+        trace = two_gate_run(SCHRODINGER, replace(cfg, n_t=need)).trace
+        assert np.max(trace.intensity) > 0
+
     def test_overlapping_gates_warn(self):
         cfg = replace(DESK_SCALE, gate_spacing=0.25)
         with pytest.warns(OverlapWarning):
@@ -182,6 +205,63 @@ class TestTwoGateRun:
         b = two_gate_run(STUECKELBERG)
         np.testing.assert_array_equal(a.trace.intensity, b.trace.intensity)
         assert a.interference_visibility == b.interference_visibility
+
+
+# Desk-scale traces: theory, engine, n_t, first and last time, intensity at
+# fixed indices, intensity sum. The control ignores the engine.
+DESK_TRACE_PINS = [
+    ("schrodinger_control", "closed_form", 2049,
+     -72.15773105863909, 104.15773105863909,
+     {839: 0.048189053737884076, 990: 0.09903713369559732,
+      1141: 0.08021782499183042, 1292: 0.051411758536908755,
+      1443: 0.034275594071831894, 1595: 0.024817009988523632,
+      1746: 0.019238543605995553, 1897: 0.015627260287067974,
+      2048: 0.013126028636833528},
+     51.107006220215425),
+    ("stueckelberg", "closed_form", 2048,
+     -81.7526032801682, 114.15260328016821,
+     {463: 5.4411572786595896e-06, 603: 6.616410767875198e-05,
+      743: 0.0009164934761695296, 883: 0.0002892733382937354,
+      1023: 0.005396267886846814, 1164: 0.0002892733382938079,
+      1304: 0.0009164934761695602, 1444: 6.616410767876022e-05,
+      1584: 5.4411572786600165e-06},
+     1.0947070852867347),
+    ("stueckelberg", "quadrature", 2048,
+     -81.7526032801682, 114.15260328016821,
+     {463: 5.441157278651018e-06, 603: 6.616410767872432e-05,
+      743: 0.0009164934761691476, 883: 0.0002892733382936134,
+      1023: 0.005396267886845138, 1164: 0.00028927333829362943,
+      1304: 0.0009164934761691388, 1444: 6.616410767872551e-05,
+      1584: 5.441157278650971e-06},
+     1.0947070852863214),
+    ("floquet", "closed_form", 483, 5.9375, 26.0625,
+     {66: 6.383388677594763e-05, 82: 0.011558229940441114,
+      97: 0.059072036342303055, 113: 0.010592257747503879,
+      128: 8.260575392332564e-05, 369: 0.010592257747503777,
+      385: 0.05907203634230304, 400: 0.011558229940441322,
+      416: 6.383388677594882e-05},
+     2.509211179985275),
+    ("floquet", "quadrature", 483, 5.9375, 26.0625,
+     {66: 6.383388677592748e-05, 82: 0.011558229940437467,
+      97: 0.05907203634228444, 113: 0.010592257747500538,
+      128: 8.260575392329956e-05, 369: 0.010592257747500434,
+      385: 0.05907203634228441, 400: 0.011558229940437675,
+      416: 6.383388677592865e-05},
+     2.509211179984484),
+]
+
+
+@pytest.mark.parametrize("theory,engine,n_t,t_first,t_last,samples,total",
+                         DESK_TRACE_PINS)
+def test_desk_trace_is_pinned(theory, engine, n_t, t_first, t_last, samples,
+                              total):
+    trace = two_gate_run(theory, replace(DESK_SCALE, engine=engine)).trace
+    assert len(trace.times) == n_t
+    np.testing.assert_allclose([trace.times[0], trace.times[-1]],
+                               [t_first, t_last], rtol=1e-12)
+    np.testing.assert_allclose(trace.intensity[list(samples)],
+                               list(samples.values()), rtol=1e-12)
+    assert float(np.sum(trace.intensity)) == pytest.approx(total, rel=1e-12)
 
 
 def planted_trace(period=0.5, n=4001, center=10.0, envelope_sigma=3.0):

@@ -18,7 +18,6 @@ from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
                                     schrodinger_closed_form)
 
 MASS = 1.0
-HBAR = 1.0
 
 
 def two_gate_packet(spacing=12.0, gate_width=0.5, spatial_width=5.0,
@@ -193,11 +192,11 @@ class TestQuadratureAxis:
                     for c in centers]
 
         values, before, after = _quadrature_axis(
-            sources, out, lo, hi, n_in, False, mu, s, HBAR, k0, 48.0, "x")
+            sources, out, lo, hi, n_in, False, mu, s, k0, "x")
         u = np.linspace(lo, hi, n_in)
         w_in = simpson_weights(n_in, u[1] - u[0])
-        kernel = axis_prefactor(mu, s, HBAR) * np.exp(
-            1j * mu * np.subtract.outer(out, u) ** 2 / (2.0 * HBAR * s))
+        kernel = axis_prefactor(mu, s) * np.exp(
+            1j * mu * np.subtract.outer(out, u) ** 2 / (2.0 * s))
         reference = [kernel @ (w_in * v) for v in sources(u)]
         assert len(values) == len(reference)
         for got, want in zip(values, reference):
@@ -249,7 +248,7 @@ class TestIdentityLimit:
         # axis (mass M) and the covariant time axis (mass -M c^2)
         comp = gaussian_component(center=0.0, width=1.0)
         u = np.linspace(-8.0, 8.0, 2001)
-        devs = [rel_l2(propagate_component(comp, mu, 1e-3 / 2**k, HBAR)(u),
+        devs = [rel_l2(propagate_component(comp, mu, 1e-3 / 2**k)(u),
                        comp(u)) for k in range(4)]
         assert devs[-1] < 1e-3
         for coarse, fine in zip(devs, devs[1:]):

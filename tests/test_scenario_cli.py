@@ -29,6 +29,12 @@ def run_one_key(tmp_path, command, section, key, value, *extra):
                  "--out", str(tmp_path / "out"), *extra])
 
 
+def trace_has_intensity(out) -> bool:
+    with open(out / "trace.csv") as fh:
+        next(fh)
+        return any(float(line.split(",")[1]) > 0 for line in fh)
+
+
 def assert_config_error(tmp_path, capsys, command, section, key, value):
     assert run_one_key(tmp_path, command, section, key, value) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
@@ -152,6 +158,41 @@ class TestScenarioProperties:
             sc.physical_setup()
         except ConfigError:
             pass
+
+
+_SWEEP_KEYS = ([("packet", key) for key in (
+    "spatial_width", "spatial_center", "momentum", "carrier_energy",
+    "gate_width", "gate_spacing")]
+    + [("sim", key) for key in ("flight_distance", "s_elapsed", "detector_x")])
+_SWEEP_VALUES = [0.0] + [sign * size for size in (
+    1e-300, 1e-100, 1e-10, 1e-3, 1.0, 1e3, 1e10, 1e100, 1e300)
+    for sign in (1.0, -1.0)]
+
+
+class TestScenarioSweep:
+    @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize("theory", ["schrodinger_control", "floquet",
+                                        "stueckelberg"])
+    def test_every_number_ends_in_a_documented_exit(self, tmp_path, theory,
+                                                    engine):
+        # each packet/sim number at 19 sizes, one key at a time: exit 0
+        # with a trace that carries intensity, or exit 2, 3 or 4
+        bad = []
+        for section, key in _SWEEP_KEYS:
+            for value in _SWEEP_VALUES:
+                where = f"{section}.{key} = {value!r}"
+                try:
+                    code = run_one_key(tmp_path, "simulate", section, key,
+                                       value, "--theory", theory,
+                                       "--engine", engine)
+                except Exception as exc:
+                    bad.append(f"{where}: {type(exc).__name__}: {exc}")
+                    continue
+                if code not in (0, 2, 3, 4):
+                    bad.append(f"{where}: exit {code}")
+                elif code == 0 and not trace_has_intensity(tmp_path / "out"):
+                    bad.append(f"{where}: exit 0 with an all-zero trace")
+        assert not bad
 
 
 class TestCliEstimate:
@@ -286,6 +327,55 @@ class TestCliSimulate:
         assert run_one_key(tmp_path, "simulate", "packet", "gate_width",
                            1e-10, "--theory", "floquet") == 3
         assert f"ceiling of {MAX_AXIS_SAMPLES}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theory,section,key,value,named", [
+        ("floquet", "packet", "momentum", 1000, "n_x = 18472439"),
+        ("floquet", "sim", "s_elapsed", 1e-3, "n_x = 34653275"),
+        ("floquet", "packet", "spatial_width", 1e10,
+         "n_x = 13861217376939785846785"),
+        ("stueckelberg", "packet", "carrier_energy", 1e10,
+         "n_t = 2979380536287"),
+    ])
+    def test_quadrature_input_past_ceiling_is_resolution_error(
+            self, tmp_path, capsys, theory, section, key, value, named):
+        # resolving the kernel chirp would take this many input samples;
+        # the run stops before it allocates them
+        assert run_one_key(tmp_path, "simulate", section, key, value,
+                           "--theory", theory, "--engine", "quadrature") == 3
+        err = capsys.readouterr().err
+        assert named in err
+        assert f"ceiling of {MAX_AXIS_SAMPLES}" in err
+
+    @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize("section,key,value,code,named", [
+        # the chirp's sample count overflows a float
+        ("packet", "spatial_width", 1e154, 3, "leaves the float range"),
+        # the kernel phase 1 / 2s, or its square, overflows a float
+        ("sim", "s_elapsed", 5e-324, 4, "s = 4.94066e-324"),
+        ("sim", "s_elapsed", 1e-300, 4, "s = 1e-300"),
+    ])
+    def test_float_range_spread_ends_in_documented_exit(
+            self, tmp_path, capsys, engine, section, key, value, code, named):
+        assert run_one_key(tmp_path, "simulate", section, key, value,
+                           "--theory", "floquet", "--engine", engine) == code
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value,code", [
+        ("sim", "detector_x", 1e3, 0), ("sim", "detector_x", -1e3, 4),
+        ("sim", "detector_x", 0.0, 4), ("packet", "spatial_center", 1e3, 4),
+        ("packet", "spatial_center", -1e3, 0),
+        # at p = 1e300 the flight time 2e-300 squares past the float range
+        ("packet", "momentum", 1e100, 3), ("packet", "momentum", 1e300, 4),
+        ("packet", "momentum", 1e3, 3), ("packet", "gate_spacing", 1e4, 3),
+    ])
+    def test_control_trace_covers_the_arrival(self, tmp_path, section, key,
+                                              value, code):
+        # the window centres on (detector_x - spatial_center) / momentum
+        # and resolves the arrival pulse, or the run says why not
+        assert run_one_key(tmp_path, "simulate", section, key, value,
+                           "--theory", "schrodinger_control") == code
+        if code == 0:
+            assert trace_has_intensity(tmp_path / "out")
 
     def test_bad_scenario_is_config_error(self, tmp_path):
         sc = tmp_path / "sc.json"
