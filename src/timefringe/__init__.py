@@ -11,8 +11,8 @@ from .estimates import (EstimateReport, compare_estimates,
 from .experiments import (DESK_SCALE, FringeReport, IntensityTrace,
                           TwoGateConfig, TwoGateOutcome, extract_fringes,
                           two_gate_run, visibility_scan)
-from .packets import (GaussianSpatialPacket, Grid1D, Grid2D, Moments,
-                      SpacetimePacket, TimeGate, expectations)
+from .packets import (GaussianSpatialPacket, Grid1D, Grid2D,
+                      SpacetimePacket, TimeGate)
 from .propagation import (CLOSED_FORM, FLOQUET, QUADRATURE, SCHRODINGER,
                           STUECKELBERG, HamiltonDiagnostics,
                           PropagationResult, hamilton_diagnostics,

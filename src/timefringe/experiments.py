@@ -240,11 +240,14 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
     predicted = (cfg.predicted_spacing() if theory == STUECKELBERG
                  and cfg.gate_spacing > 0 else None)
     if predicted is not None and predicted < MIN_SAMPLES_PER_FRINGE * grid.dt:
-        span = grid.t_max - grid.t_min
-        need = int(math.ceil(MIN_SAMPLES_PER_FRINGE * span / predicted)) + 1
+        span = MIN_SAMPLES_PER_FRINGE * (grid.t_max - grid.t_min)
+        need = (math.ceil(span / predicted) + 1
+                if span < (MAX_AXIS_SAMPLES - 1) * predicted else None)
+        advice = (f"need n_t >= {need}" if need else
+                  f"that needs more than the ceiling of {MAX_AXIS_SAMPLES}")
         raise ResolutionError(
             f"t grid gives {predicted / grid.dt:.2f} samples per predicted "
-            f"fringe (< {MIN_SAMPLES_PER_FRINGE}); need n_t >= {need}",
+            f"fringe (< {MIN_SAMPLES_PER_FRINGE}); {advice}",
             required_n_t=need)
     result = propagate_spacetime(packet, theory, s, cfg.engine, grid=grid)
     # the field is X(x) sum_k T_k(t); the incoherent reference drops the

@@ -30,7 +30,3 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
         w[-1] += h / 2.0
     return w
 
-
-def integrate_1d(values: np.ndarray, h: float) -> float:
-    w = simpson_weights(len(values), h)
-    return float(np.dot(w, values).real) if np.iscomplexobj(values) else float(np.dot(w, values))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError
-from .numerics import integrate_1d, simpson_weights
 
 GAUSSIAN = "gaussian"
 RECTANGULAR = "rectangular"
@@ -87,22 +86,13 @@ class SpacetimePacket:
         return sum(self.gate_terms(t))
 
     def temporal_norm2(self) -> float:
-        """Closed-form (Gaussian) or fine-quadrature (rectangular) value of
-        the integral of |sum of gate envelopes|^2 over t."""
-        if all(g.profile == GAUSSIAN for g in self.gates):
-            total = 0.0
-            for gj in self.gates:
-                for gk in self.gates:
-                    total += (gj.amplitude * np.conj(gk.amplitude)
-                              * _gaussian_pair_overlap(gj, gk)).real
-            return float(total)
-        lo = min(g.center_t - 6.0 * g.width_delta_t for g in self.gates)
-        hi = max(g.center_t + 6.0 * g.width_delta_t for g in self.gates)
-        t = np.linspace(lo, hi, 20001)
-        env = np.zeros_like(t, dtype=complex)
-        for g in self.gates:
-            env = env + g.envelope(t)
-        return integrate_1d(np.abs(env) ** 2, t[1] - t[0])
+        """Closed-form integral of |sum of gate envelopes|^2 over t."""
+        total = 0.0
+        for gj in self.gates:
+            for gk in self.gates:
+                total += (gj.amplitude * np.conj(gk.amplitude)
+                          * _pair_overlap(gj, gk)).real
+        return float(total)
 
     def normalized(self) -> "SpacetimePacket":
         """Rescale gate amplitudes so the space-time L2 norm is 1 (the
@@ -118,12 +108,24 @@ class SpacetimePacket:
         return replace(self, gates=gates)
 
 
-def _gaussian_pair_overlap(gj: TimeGate, gk: TimeGate) -> float:
-    """Integral of exp(-(t-tj)^2/2wj^2) exp(-(t-tk)^2/2wk^2) dt."""
-    wj2, wk2 = gj.width_delta_t**2, gk.width_delta_t**2
-    a = 0.5 / wj2 + 0.5 / wk2
-    d2 = (gj.center_t - gk.center_t) ** 2
-    return math.sqrt(math.pi / a) * math.exp(-d2 / (2.0 * (wj2 + wk2)))
+def _pair_overlap(gj: TimeGate, gk: TimeGate) -> float:
+    """Integral of the product of two unit-amplitude gate envelopes."""
+    if gj.profile == GAUSSIAN and gk.profile == GAUSSIAN:
+        wj2, wk2 = gj.width_delta_t**2, gk.width_delta_t**2
+        a = 0.5 / wj2 + 0.5 / wk2
+        d2 = (gj.center_t - gk.center_t) ** 2
+        return math.sqrt(math.pi / a) * math.exp(-d2 / (2.0 * (wj2 + wk2)))
+    if gj.profile == RECTANGULAR and gk.profile == RECTANGULAR:
+        lo = max(gj.center_t - 0.5 * gj.width_delta_t,
+                 gk.center_t - 0.5 * gk.width_delta_t)
+        hi = min(gj.center_t + 0.5 * gj.width_delta_t,
+                 gk.center_t + 0.5 * gk.width_delta_t)
+        return max(hi - lo, 0.0)
+    gauss, rect = (gj, gk) if gj.profile == GAUSSIAN else (gk, gj)
+    scale = math.sqrt(2.0) * gauss.width_delta_t
+    hi = (rect.center_t + 0.5 * rect.width_delta_t - gauss.center_t) / scale
+    lo = (rect.center_t - 0.5 * rect.width_delta_t - gauss.center_t) / scale
+    return 0.5 * math.sqrt(math.pi) * scale * (math.erf(hi) - math.erf(lo))
 
 
 @dataclass(frozen=True)
@@ -175,39 +177,3 @@ class Grid2D:
     @property
     def dt(self) -> float:
         return (self.t_max - self.t_min) / (self.n_t - 1)
-
-
-@dataclass(frozen=True)
-class Moments:
-    mean_x: float
-    mean_t: float
-    mean_p: float
-    mean_E: float
-    sigma_x: float
-    sigma_t: float
-
-
-def expectations(field: np.ndarray, grid: Grid2D) -> Moments:
-    """First and second moments of |psi|^2 plus derivative-based mean
-    momentum / energy of a field sampled on the grid."""
-    intensity = np.abs(field) ** 2
-    wx = simpson_weights(grid.n_x, grid.dx)
-    wt = simpson_weights(grid.n_t, grid.dt)
-    n2 = float(wx @ intensity @ wt)
-    if n2 <= 0:
-        raise DomainError("zero-norm field has no expectation values")
-    x, t = grid.x, grid.t
-
-    mean_x = float((wx * x) @ intensity @ wt) / n2
-    mean_t = float(wx @ intensity @ (wt * t)) / n2
-    var_x = float((wx * (x - mean_x) ** 2) @ intensity @ wt) / n2
-    var_t = float(wx @ intensity @ (wt * (t - mean_t) ** 2)) / n2
-
-    dpsi_dx = np.gradient(field, grid.dx, axis=0)
-    dpsi_dt = np.gradient(field, grid.dt, axis=1)
-    mean_p = float((wx @ (np.conj(field) * -1j * dpsi_dx) @ wt).real) / n2
-    mean_e = float((wx @ (np.conj(field) * 1j * dpsi_dt) @ wt).real) / n2
-
-    return Moments(mean_x=mean_x, mean_t=mean_t, mean_p=mean_p, mean_E=mean_e,
-                   sigma_x=math.sqrt(max(var_x, 0.0)),
-                   sigma_t=math.sqrt(max(var_t, 0.0)))

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .numerics import simpson_weights
 from .packets import (GAUSSIAN, GaussianSpatialPacket, Grid1D, Grid2D,
-                      SpacetimePacket, expectations)
+                      SpacetimePacket)
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -43,8 +43,7 @@ FLOQUET = "floquet"
 STUECKELBERG = "stueckelberg"
 THEORIES = (SCHRODINGER, FLOQUET, STUECKELBERG)
 
-MIN_SAMPLES_PER_CYCLE = 8  # below this the quadrature silently decoheres
-INPUT_SAMPLES_PER_CYCLE = 48   # of the kernel chirp, when input grids grow
+INPUT_SAMPLES_PER_CYCLE = 48   # of the kernel chirp, on every input grid
 OUTPUT_SAMPLES_PER_CYCLE = 16  # of the chirp, on automatic output grids
 INPUT_PAD_SIGMAS = 7.5   # input grids: half-width in amplitude widths
 OUTPUT_PAD_SIGMAS = 6.5  # output grids: half-width in intensity sigmas
@@ -204,12 +203,11 @@ def _closed_form_axis(comps: list, out: np.ndarray, mu: float, s: float):
 
 
 def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
-                     n_in: int, grow: bool, mu: float, s: float, k0: float,
-                     axis: str):
+                     n_in: int, mu: float, s: float, k0: float, axis: str):
     """Propagate the functions sources(u) of one axis by Simpson quadrature
-    over n_in samples u of [lo, hi], raised to resolve the kernel chirp (up
-    to MAX_AXIS_SAMPLES) when grow is set: their values on the uniform grid
-    out and the grid norm^2 of their sum before and after. k0 is the largest
+    over at least n_in samples u of [lo, hi], as many as resolve the kernel
+    chirp (up to MAX_AXIS_SAMPLES): their values on the uniform grid out and
+    the grid norm^2 of their sum before and after. k0 is the largest
     wavenumber of the input functions.
 
     The Simpson sum sum_j K(out_i - u_j) w_j v_j is evaluated as a chirp-z
@@ -226,21 +224,13 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
     """
     k_max = abs(mu) * max(abs(out[-1] - lo), abs(out[0] - hi)) / s + k0
     span = hi - lo
-    if grow:
-        n_in = max(n_in, _required_samples(k_max, span,
-                                           INPUT_SAMPLES_PER_CYCLE))
-        if n_in > MAX_AXIS_SAMPLES:
-            raise ResolutionError(
-                f"resolving the kernel chirp needs n_{axis} = {n_in} input "
-                f"samples, above the ceiling of {MAX_AXIS_SAMPLES}",
-                **{f"required_n_{axis}": n_in})
-    h = span / (n_in - 1)
-    if k_max * h > 2.0 * math.pi / MIN_SAMPLES_PER_CYCLE:
-        need = _required_samples(k_max, span, MIN_SAMPLES_PER_CYCLE)
+    n_in = max(n_in, _required_samples(k_max, span, INPUT_SAMPLES_PER_CYCLE))
+    if n_in > MAX_AXIS_SAMPLES:
         raise ResolutionError(
-            f"{axis} grid gives {2 * math.pi / (k_max * h):.2f} samples per "
-            f"kernel-phase cycle (< {MIN_SAMPLES_PER_CYCLE}); need n >= {need}",
-            **{f"required_n_{axis}": need})
+            f"resolving the kernel chirp needs n_{axis} = {n_in} input "
+            f"samples, above the ceiling of {MAX_AXIS_SAMPLES}",
+            **{f"required_n_{axis}": n_in})
+    h = span / (n_in - 1)
     u = np.linspace(lo, hi, n_in)
     values_in = sources(u)
     w_in = simpson_weights(n_in, u[1] - u[0])
@@ -264,16 +254,15 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
 
 
 def _spatial_factor(spatial: GaussianSpatialPacket, x: np.ndarray, s: float,
-                    engine: str, input_grid, grow: bool):
+                    engine: str):
     """X(x) after spreading with mass M for s, and its norm^2 before/after."""
     if engine == CLOSED_FORM:
         (values,), before, after = _closed_form_axis(
             [spatial_component(spatial)], x, 1.0, s)
     else:
         (values,), before, after = _quadrature_axis(
-            lambda u: [spatial.amplitude(u)], x, input_grid.x_min,
-            input_grid.x_max, input_grid.n_x, grow, 1.0, s,
-            abs(spatial.mean_momentum_p0), "x")
+            lambda u: [spatial.amplitude(u)], x, *_input_x(spatial), 513, 1.0,
+            s, abs(spatial.mean_momentum_p0), "x")
     return values, before, after
 
 
@@ -316,8 +305,7 @@ def schrodinger_closed_form(packet: GaussianSpatialPacket,
 
 def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
                           engine: str = CLOSED_FORM,
-                          grid: Grid1D | None = None,
-                          input_grid: Grid1D | None = None) -> PropagationResult:
+                          grid: Grid1D | None = None) -> PropagationResult:
     """Spread-and-drift evolution of the spatial Gaussian by t_elapsed."""
     if t_elapsed < 0:
         raise DomainError("t_elapsed must be >= 0")
@@ -330,22 +318,13 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
         n2 = float(simpson_weights(grid.n_x, grid.dx) @ np.abs(field) ** 2)
         return PropagationResult(spatial=field, grid=grid, norm_before=n2,
                                  norm_after=n2, engine=engine)
-    spatial, n_before, n_after = _spatial_factor(
-        packet, grid.x, t_elapsed, engine,
-        input_grid or Grid1D(*_input_x(packet), 513), input_grid is None)
+    spatial, n_before, n_after = _spatial_factor(packet, grid.x, t_elapsed,
+                                                 engine)
     return PropagationResult(spatial=spatial, grid=grid, norm_before=n_before,
                              norm_after=n_after, engine=engine)
 
 
 # -------------------------------------------------------- Floquet/Stueckelberg
-
-def auto_input_grid(packet: SpacetimePacket) -> Grid2D:
-    lo_t = min(g.center_t - INPUT_PAD_SIGMAS * g.width_delta_t
-               for g in packet.gates)
-    hi_t = max(g.center_t + INPUT_PAD_SIGMAS * g.width_delta_t
-               for g in packet.gates)
-    return Grid2D(*_input_x(packet.spatial), 513, lo_t, hi_t, 513)
-
 
 def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
                      n_x: int | None = None, n_t: int | None = None) -> Grid2D:
@@ -375,8 +354,8 @@ def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
 
 
 def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
-                        engine: str = CLOSED_FORM, grid: Grid2D | None = None,
-                        input_grid: Grid2D | None = None) -> PropagationResult:
+                        engine: str = CLOSED_FORM,
+                        grid: Grid2D | None = None) -> PropagationResult:
     """Propagate a space-time packet by s under the time-shift (Floquet) or
     covariant (Stueckelberg) theory. The field stays rank-1: the spatial
     factor spreads with mass M under both, and each gate is either shifted
@@ -388,10 +367,8 @@ def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
     mu_t = time_mass(theory)
     if grid is None:
         grid = auto_output_grid(packet, theory, s)
-    grow = input_grid is None
-    ig = auto_input_grid(packet) if grow else input_grid
-    spatial, nx_before, nx_after = _spatial_factor(
-        packet.spatial, grid.x, s, engine, ig, grow)
+    spatial, nx_before, nx_after = _spatial_factor(packet.spatial, grid.x, s,
+                                                   engine)
     if mu_t is None:
         temporal = packet.gate_terms(grid.t - s)
         nt_before = nt_after = packet.temporal_norm2()
@@ -400,32 +377,38 @@ def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
             [gate_component(g, packet.mean_energy_E0)
              for g in packet.gates], grid.t, mu_t, s)
     else:
+        lo_t = min(g.center_t - INPUT_PAD_SIGMAS * g.width_delta_t
+                   for g in packet.gates)
+        hi_t = max(g.center_t + INPUT_PAD_SIGMAS * g.width_delta_t
+                   for g in packet.gates)
         temporal, nt_before, nt_after = _quadrature_axis(
-            packet.gate_terms, grid.t, ig.t_min, ig.t_max, ig.n_t, grow,
-            mu_t, s, abs(packet.mean_energy_E0), "t")
+            packet.gate_terms, grid.t, lo_t, hi_t, 513, mu_t, s,
+            abs(packet.mean_energy_E0), "t")
     return PropagationResult(spatial=spatial, temporal=tuple(temporal),
                              grid=grid, norm_before=nx_before * nt_before,
                              norm_after=nx_after * nt_after, engine=engine)
 
 
 def propagate_floquet(packet: SpacetimePacket, delta_s: float,
-                      engine: str = CLOSED_FORM, grid: Grid2D | None = None,
-                      input_grid: Grid2D | None = None) -> PropagationResult:
+                      engine: str = CLOSED_FORM,
+                      grid: Grid2D | None = None) -> PropagationResult:
     """Exact time shift by delta_s composed with spatial free propagation:
     the temporal intensity marginal shifts without changing shape."""
-    return propagate_spacetime(packet, FLOQUET, delta_s, engine, grid,
-                               input_grid)
+    return propagate_spacetime(packet, FLOQUET, delta_s, engine, grid)
 
 
 def propagate_stueckelberg(packet: SpacetimePacket, s_elapsed: float,
                            engine: str = CLOSED_FORM,
-                           grid: Grid2D | None = None,
-                           input_grid: Grid2D | None = None
-                           ) -> PropagationResult:
+                           grid: Grid2D | None = None) -> PropagationResult:
     """Covariant evolution: both axes spread, the time axis with effective
     mass -M c^2, which is what chirps the gates and produces temporal fringes."""
-    return propagate_spacetime(packet, STUECKELBERG, s_elapsed, engine, grid,
-                               input_grid)
+    return propagate_spacetime(packet, STUECKELBERG, s_elapsed, engine, grid)
+
+
+def _intensity_mean(u: np.ndarray, factor: np.ndarray, h: float) -> float:
+    """Simpson mean of u under the intensity |factor(u)|^2."""
+    w = simpson_weights(len(u), h) * np.abs(factor) ** 2
+    return float(w @ u) / float(np.sum(w))
 
 
 def hamilton_diagnostics(packet: SpacetimePacket, theory: str,
@@ -441,9 +424,10 @@ def hamilton_diagnostics(packet: SpacetimePacket, theory: str,
     means_x, means_t = [], []
     for s in s_samples:
         res = propagate_spacetime(packet, theory, s, CLOSED_FORM)
-        mom = expectations(res.field, res.grid)
-        means_x.append(mom.mean_x)
-        means_t.append(mom.mean_t)
+        g = res.grid
+        # the field is rank-1, so each mean needs only its own factor
+        means_x.append(_intensity_mean(g.x, res.spatial, g.dx))
+        means_t.append(_intensity_mean(g.t, sum(res.temporal), g.dt))
     sx = float(np.polyfit(s_samples, means_x, 1)[0])
     st = float(np.polyfit(s_samples, means_t, 1)[0])
     pred_t = 1.0 if time_mass(theory) is None else packet.mean_energy_E0

@@ -23,8 +23,6 @@ _SETUP_DEFAULTS = {
     "wavelength_nm": 850.0,
     "photon_count": 300,
     "flight_distance_m": 0.01,
-    "gate_spacing_s": 2.8e-15,
-    "gate_width_s": 2.5e-16,
     "momentum_model": "nonrelativistic",
 }
 _PACKET_DEFAULTS = {
@@ -74,8 +72,6 @@ class Scenario:
                 wavelength=s["wavelength_nm"],
                 photon_count=s["photon_count"],
                 flight_distance_L=s["flight_distance_m"],
-                gate_spacing_epsilon=s["gate_spacing_s"],
-                gate_width=s["gate_width_s"],
                 momentum_model=s["momentum_model"])
         except DomainError as exc:
             raise ConfigError(f"setup: {exc}") from exc
@@ -168,10 +164,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ConfigError("setup.photon_count must be an integer >= 1")
     _require_number("setup", "photon_count", count)
     _require_number("setup", "flight_distance_m", setup["flight_distance_m"],
-                    positive=True)
-    _require_number("setup", "gate_spacing_s", setup["gate_spacing_s"],
-                    nonnegative=True)
-    _require_number("setup", "gate_width_s", setup["gate_width_s"],
                     positive=True)
     if setup["momentum_model"] not in MOMENTUM_MODELS:
         raise ConfigError(

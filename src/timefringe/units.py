@@ -32,8 +32,6 @@ class PhysicalSetup:
     wavelength: float = 850.0            # nm
     photon_count: int = 300
     flight_distance_L: float = 0.01      # m
-    gate_spacing_epsilon: float = 2.8e-15  # s
-    gate_width: float = 2.5e-16          # s
     momentum_model: str = NONRELATIVISTIC
 
     def __post_init__(self):
@@ -43,10 +41,6 @@ class PhysicalSetup:
             raise DomainError("photon_count must be >= 1")
         if self.flight_distance_L <= 0:
             raise DomainError("flight_distance_L must be > 0")
-        if self.gate_spacing_epsilon < 0:
-            raise DomainError("gate_spacing_epsilon must be >= 0")
-        if self.gate_width <= 0:
-            raise DomainError("gate_width must be > 0")
         if self.momentum_model not in MOMENTUM_MODELS:
             raise DomainError(f"momentum_model must be one of {MOMENTUM_MODELS}")
 

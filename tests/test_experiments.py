@@ -14,8 +14,8 @@ from timefringe.experiments import (DESK_SCALE, IntensityTrace, TwoGateConfig,
                                     extract_fringes, two_gate_run,
                                     visibility_scan)
 from timefringe.numerics import simpson_weights
-from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
-                                    SCHRODINGER, STUECKELBERG,
+from timefringe.propagation import (CLOSED_FORM, FLOQUET, MAX_AXIS_SAMPLES,
+                                    QUADRATURE, SCHRODINGER, STUECKELBERG,
                                     auto_output_grid, propagate_floquet,
                                     propagate_stueckelberg)
 
@@ -179,6 +179,17 @@ class TestTwoGateRun:
         outcome = two_gate_run(STUECKELBERG, cfg)
         dt = outcome.trace.times[1] - outcome.trace.times[0]
         assert cfg.predicted_spacing() / dt >= 8.0
+
+    @pytest.mark.parametrize("flight,need", [(1e-3, 50719), (1e-5, None)])
+    def test_unresolved_fringe_advice(self, flight, need):
+        # at L = 1e-5 it would take n_t = 5071425, past the ceiling that
+        # grid.n_t is checked against, so the error names the ceiling
+        advice = (f"need n_t >= {need}" if need
+                  else f"needs more than the ceiling of {MAX_AXIS_SAMPLES}")
+        cfg = replace(DESK_SCALE, flight_distance=flight)
+        with pytest.raises(ResolutionError, match=advice) as err:
+            two_gate_run(STUECKELBERG, cfg)
+        assert err.value.required_n_t == need
 
     def test_wide_spacing_quadrature_memory(self):
         # at eps = 192 the joint input time range of the two gates takes

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from timefringe.errors import DomainError
-from timefringe.numerics import integrate_1d, simpson_weights
+from timefringe.numerics import simpson_weights
 from timefringe.packets import (GaussianSpatialPacket, Grid2D,
-                                SpacetimePacket, TimeGate, expectations)
+                                SpacetimePacket, TimeGate)
 
 
 def single_gate_packet(width=0.5, center=0.0, profile="gaussian"):
@@ -45,7 +45,7 @@ class TestSpatialPacket:
     def test_closed_form_unit_norm(self):
         pk = GaussianSpatialPacket(0.7, 1.3, 2.0)
         x = np.linspace(0.7 - 12 * 1.3, 0.7 + 12 * 1.3, 4001)
-        n2 = integrate_1d(np.abs(pk.amplitude(x)) ** 2, x[1] - x[0])
+        n2 = simpson_weights(4001, x[1] - x[0]) @ np.abs(pk.amplitude(x)) ** 2
         assert n2 == pytest.approx(1.0, rel=1e-9)
 
     def test_rejects_nonpositive_width(self):
@@ -125,6 +125,32 @@ class TestNorm2:
         half = SpacetimePacket(spatial, pk.gates[:1], 1.0)
         assert grid_norm2(half, grid) == pytest.approx(0.5, abs=1e-6)
 
+    def test_rectangular_norm_is_exact(self):
+        spatial = GaussianSpatialPacket(0.0, 1.0, 0.0)
+
+        def pair(eps):
+            return SpacetimePacket(
+                spatial, (TimeGate(0.0, 0.5, "rectangular"),
+                          TimeGate(eps, 0.5, "rectangular")), 1.0)
+
+        # two unit rectangles of width 0.5 apart: norm^2 = 2 * 0.5 = 1
+        for eps in (8.0, 12.0, 24.0):
+            assert pair(eps).temporal_norm2() == pytest.approx(1.0, abs=1e-15)
+            for g in pair(eps).normalized().gates:
+                assert g.amplitude == pytest.approx(1.0, abs=1e-15)
+        # supports [-0.25, 0.25] and [0.05, 0.55] share a length of 0.2
+        assert pair(0.3).temporal_norm2() == pytest.approx(1.4, abs=1e-15)
+
+    def test_mixed_profile_norm_is_exact(self):
+        # the rectangle's support [0, 40] starts at the Gaussian's centre,
+        # so it covers half of the Gaussian's integral w sqrt(2 pi)
+        w = 0.5
+        pk = SpacetimePacket(
+            GaussianSpatialPacket(0.0, 1.0, 0.0),
+            (TimeGate(0.0, w), TimeGate(20.0, 40.0, "rectangular")), 1.0)
+        expected = w * math.sqrt(math.pi) + 40.0 + w * math.sqrt(2 * math.pi)
+        assert pk.temporal_norm2() == pytest.approx(expected, rel=1e-15)
+
     def test_quadratic_amplitude_scaling(self):
         pk = single_gate_packet()
         scaled = SpacetimePacket(
@@ -151,48 +177,6 @@ class TestNorm2:
                     g0.t_min + dt, g0.t_max + dt, g0.n_t)
         assert grid_norm2(moved, g1) == pytest.approx(grid_norm2(pk, g0),
                                                       rel=1e-9)
-
-
-class TestExpectations:
-    def test_symmetric_packet_centers(self):
-        pk = single_gate_packet(center=1.5)
-        grid = default_grid(pk)
-        m = expectations(on_grid(pk, grid), grid)
-        assert abs(m.mean_x - 0.0) <= grid.dx
-        assert abs(m.mean_t - 1.5) <= grid.dt
-
-    def test_gate_sigma_convention(self):
-        # intensity standard deviation of an amplitude-width dt gate is
-        # dt / sqrt(2)
-        dt = 0.8
-        pk = single_gate_packet(width=dt)
-        grid = default_grid(pk, n_t=1025)
-        m = expectations(on_grid(pk, grid), grid)
-        assert m.sigma_t == pytest.approx(dt / math.sqrt(2), rel=0.01)
-
-    def test_two_equal_gates_mean_between(self):
-        spatial = GaussianSpatialPacket(0.0, 1.0, 0.0)
-        pk = SpacetimePacket(spatial,
-                             (TimeGate(1.0, 0.5), TimeGate(5.0, 0.5)),
-                             1.0).normalized()
-        grid = default_grid(pk, n_t=1025)
-        m = expectations(on_grid(pk, grid), grid)
-        assert abs(m.mean_t - 3.0) <= grid.dt
-
-    def test_grid_moments_match_closed_form(self):
-        pk = single_gate_packet(width=0.6)
-        grid = default_grid(pk, n_x=513, n_t=1025)
-        m = expectations(on_grid(pk, grid), grid)
-        assert m.sigma_x == pytest.approx(1.0 / math.sqrt(2), rel=1e-3)
-        assert m.sigma_t == pytest.approx(0.6 / math.sqrt(2), rel=1e-3)
-        assert m.mean_p == pytest.approx(0.3, abs=1e-3)
-        assert m.mean_E == pytest.approx(1.0, abs=1e-3)
-
-    def test_zero_norm_rejected(self):
-        pk = single_gate_packet()
-        grid = default_grid(pk)
-        with pytest.raises(DomainError):
-            expectations(np.zeros((grid.n_x, grid.n_t)), grid)
 
 
 class TestInvariantChecks:

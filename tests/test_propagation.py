@@ -1,19 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from timefringe.errors import DomainError, ResolutionError
+from timefringe.errors import DomainError
+from timefringe.experiments import DESK_SCALE, build_packet
 from timefringe.numerics import simpson_weights
-from timefringe.packets import (GaussianSpatialPacket, Grid1D, Grid2D,
-                                SpacetimePacket, TimeGate, expectations)
+from timefringe.packets import (GaussianSpatialPacket, Grid1D,
+                                SpacetimePacket, TimeGate)
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
                                     STUECKELBERG, _quadrature_axis,
                                     auto_output_grid, axis_prefactor,
-                                    component_overlap, gaussian_component,
-                                    hamilton_diagnostics,
+                                    component_overlap, gate_component,
+                                    gaussian_component, hamilton_diagnostics,
                                     propagate_component, propagate_floquet,
-                                    propagate_schrodinger,
+                                    propagate_schrodinger, propagate_spacetime,
                                     propagate_stueckelberg,
                                     schrodinger_closed_form)
 
@@ -74,14 +78,6 @@ class TestSchrodinger:
             propagate_schrodinger(pk, -1.0)
         with pytest.raises(DomainError):
             propagate_schrodinger(pk, 1.0, engine="spectral")
-
-    def test_coarse_explicit_input_grid_raises(self):
-        pk = GaussianSpatialPacket(0.0, 1.0, 0.5)
-        with pytest.raises(ResolutionError) as err:
-            propagate_schrodinger(pk, 4.0, QUADRATURE,
-                                  grid=Grid1D(-10.0, 14.0, 801),
-                                  input_grid=Grid1D(-7.5, 7.5, 33))
-        assert err.value.required_n_x is not None
 
 
 class TestFloquet:
@@ -161,19 +157,50 @@ class TestStueckelberg:
             gates=(TimeGate(0.0, w),), mean_energy_E0=1.02).normalized()
         s = 10.0
         res = propagate_stueckelberg(pk, s, CLOSED_FORM)
-        mom = expectations(res.field, res.grid)
+        t = res.grid.t
+        weights = (simpson_weights(res.grid.n_t, res.grid.dt)
+                   * np.abs(sum(res.temporal)) ** 2)
+        mean_t = float(weights @ t) / float(np.sum(weights))
+        var_t = float(weights @ (t - mean_t) ** 2) / float(np.sum(weights))
         expected = (w / math.sqrt(2)) * math.sqrt(1 + (s / w**2) ** 2)
-        assert mom.sigma_t == pytest.approx(expected, rel=1e-3)
-
-    def test_coarse_explicit_input_grid_raises(self):
-        pk = two_gate_packet()
-        coarse = Grid2D(-37.5, 37.5, 65, -3.75, 15.75, 65)
-        with pytest.raises(ResolutionError):
-            propagate_stueckelberg(pk, 10.0, QUADRATURE, input_grid=coarse)
+        assert math.sqrt(var_t) == pytest.approx(expected, rel=1e-3)
 
     def test_rejects_nonpositive_parameter(self):
         with pytest.raises(DomainError):
             propagate_stueckelberg(two_gate_packet(), -2.0)
+
+
+def field_moment_slopes(packet, theory, s_samples):
+    """Drift slopes from Simpson moments of the full n_x x n_t field."""
+    means_x, means_t = [], []
+    for s in s_samples:
+        res = propagate_spacetime(packet, theory, s, CLOSED_FORM)
+        g = res.grid
+        intensity = np.abs(res.field) ** 2
+        wx = simpson_weights(g.n_x, g.dx)
+        wt = simpson_weights(g.n_t, g.dt)
+        n2 = float(wx @ intensity @ wt)
+        means_x.append(float((wx * g.x) @ intensity @ wt) / n2)
+        means_t.append(float(wx @ intensity @ (wt * g.t)) / n2)
+    return (float(np.polyfit(s_samples, means_x, 1)[0]),
+            float(np.polyfit(s_samples, means_t, 1)[0]))
+
+
+class TestHamiltonMoments:
+    @settings(max_examples=30, deadline=None)
+    @given(eps=st.floats(0.0, 24.0), flight=st.floats(1.0, 4.0),
+           width=st.floats(0.3, 1.0), momentum=st.floats(0.1, 0.4),
+           theory=st.sampled_from([FLOQUET, STUECKELBERG]))
+    def test_factor_moments_match_field_moments(self, eps, flight, width,
+                                                momentum, theory):
+        cfg = replace(DESK_SCALE, gate_spacing=eps, flight_distance=flight,
+                      gate_width=width, momentum=momentum)
+        s_samples = [f * cfg.s_star for f in (0.8, 1.0, 1.2)]
+        packet = build_packet(cfg)
+        diag = hamilton_diagnostics(packet, theory, s_samples)
+        want_x, want_t = field_moment_slopes(packet, theory, s_samples)
+        assert diag.slope_x == pytest.approx(want_x, rel=1e-12)
+        assert diag.slope_t == pytest.approx(want_t, rel=1e-12)
 
 
 class TestQuadratureAxis:
@@ -192,7 +219,7 @@ class TestQuadratureAxis:
                     for c in centers]
 
         values, before, after = _quadrature_axis(
-            sources, out, lo, hi, n_in, False, mu, s, k0, "x")
+            sources, out, lo, hi, n_in, mu, s, k0, "x")
         u = np.linspace(lo, hi, n_in)
         w_in = simpson_weights(n_in, u[1] - u[0])
         kernel = axis_prefactor(mu, s) * np.exp(
@@ -210,10 +237,14 @@ class TestQuadratureAxis:
 
 class TestComponentAlgebra:
     def test_intensity_moments_of_component(self):
-        comp = gaussian_component(center=1.5, width=0.7, wavenumber=2.0)
-        assert comp.intensity_mean == pytest.approx(1.5, rel=1e-12)
-        assert comp.intensity_sigma == pytest.approx(0.7 / math.sqrt(2),
-                                                     rel=1e-12)
+        for comp in (
+                gaussian_component(center=1.5, width=0.7, wavenumber=2.0),
+                # a gate of amplitude width w has intensity sigma w / sqrt 2
+                gate_component(TimeGate(center_t=1.5, width_delta_t=0.7),
+                               1.02)):
+            assert comp.intensity_mean == pytest.approx(1.5, rel=1e-12)
+            assert comp.intensity_sigma == pytest.approx(0.7 / math.sqrt(2),
+                                                         rel=1e-12)
 
     def test_displaced_component_no_overflow(self):
         # widely displaced gates must survive the log-amplitude bookkeeping

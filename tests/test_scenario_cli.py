@@ -98,15 +98,21 @@ class TestScenarioSchema:
         assert_config_error(tmp_path, capsys, command, section, key, value)
 
     def test_removed_scales_block_is_rejected(self, tmp_path, capsys):
-        raw = {"scales": {"length_scale": 1.0, "time_scale": 1.0,
-                          "mass_scale": 1.0}}
-        with pytest.raises(ConfigError, match="unknown key 'scales'"):
-            scenario_from_dict(raw)
-        sc = tmp_path / "sc.json"
-        sc.write_text(json.dumps(raw))
-        assert main(["simulate", "--scenario", str(sc),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "scales" in capsys.readouterr().err
+        # so are the setup keys that no computation read
+        for raw, key in [
+                ({"scales": {"length_scale": 1.0, "time_scale": 1.0,
+                             "mass_scale": 1.0}}, "scales"),
+                ({"setup": {"gate_spacing_s": 2.8e-15}},
+                 "setup.gate_spacing_s"),
+                ({"setup": {"gate_width_s": 2.5e-16}}, "setup.gate_width_s")]:
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                scenario_from_dict(raw)
+            sc = tmp_path / "sc.json"
+            sc.write_text(json.dumps(raw))
+            for command in ("simulate", "estimate"):
+                assert main([command, "--scenario", str(sc),
+                             "--out", str(tmp_path / "out")]) == 2
+                assert key in capsys.readouterr().err
 
     def test_integer_past_parser_digit_limit_is_config_error(self, tmp_path):
         sc = tmp_path / "sc.json"

@@ -116,8 +116,4 @@ class TestPhysicalSetupInvariants:
         with pytest.raises(DomainError):
             PhysicalSetup(flight_distance_L=0.0)
         with pytest.raises(DomainError):
-            PhysicalSetup(gate_spacing_epsilon=-1e-15)
-        with pytest.raises(DomainError):
-            PhysicalSetup(gate_width=0.0)
-        with pytest.raises(DomainError):
             PhysicalSetup(momentum_model="ultrarelativistic")
