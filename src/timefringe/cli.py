@@ -25,7 +25,7 @@ from .errors import (ConfigError, DomainError, IoError, NoFringes,
                      ResolutionError)
 from .estimates import compare_estimates, report_to_dict
 from .experiments import (SCAN_PARAMS, IntensityTrace, extract_fringes,
-                          two_gate_run, visibility_scan)
+                          outcome_fringes, two_gate_run, visibility_scan)
 from .propagation import ENGINES, SCHRODINGER, STUECKELBERG, THEORIES
 from .scenario import Scenario, parse_scenario
 from .svgplot import line_chart
@@ -129,9 +129,8 @@ def cmd_simulate(args) -> int:
     fringes = None
     fringe_error = None
     try:
-        fringes = extract_fringes(outcome.trace,
-                                  scenario.analysis["threshold_fraction"],
-                                  outcome.predicted_spacing)
+        fringes = outcome_fringes(outcome,
+                                  scenario.analysis["threshold_fraction"])
     except NoFringes as exc:
         fringe_error = str(exc)
         if scenario.theory == STUECKELBERG:
@@ -148,6 +147,8 @@ def cmd_simulate(args) -> int:
                title=f"{scenario.theory} two-gate intensity at detector",
                xlabel="t (internal time)", ylabel="intensity",
                meta=f"scenario-sha256:{shash}")
+    times = outcome.trace.times
+    dt = (times[-1] - times[0]) / (len(times) - 1)
     report = {
         "command": "simulate",
         "scenario": scenario.to_dict(),
@@ -158,6 +159,13 @@ def cmd_simulate(args) -> int:
         "interference_visibility": outcome.interference_visibility,
         "norm_drift": outcome.norm_drift,
         "predicted_spacing_T": outcome.predicted_spacing,
+        "time_grid": {
+            "n_t": len(times),
+            "t_min": float(times[0]),
+            "t_max": float(times[-1]),
+            "samples_per_fringe": (None if outcome.predicted_spacing is None
+                                   else outcome.predicted_spacing / dt),
+        },
         "fringes": None if fringes is None else {
             "peak_times": fringes.peak_times,
             "spacing_T": fringes.spacing_T,

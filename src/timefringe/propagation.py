@@ -44,11 +44,16 @@ STUECKELBERG = "stueckelberg"
 THEORIES = (SCHRODINGER, FLOQUET, STUECKELBERG)
 
 INPUT_SAMPLES_PER_CYCLE = 48   # of the kernel chirp, on every input grid
-OUTPUT_SAMPLES_PER_CYCLE = 16  # of the chirp, on automatic output grids
+OUTPUT_SAMPLES_PER_CYCLE = 16  # of the chirp, on automatic x grids
+SAMPLES_PER_FEATURE = 12  # of the narrowest intensity feature, on time axes
+MIN_TIME_SAMPLES = 129
 INPUT_PAD_SIGMAS = 7.5   # input grids: half-width in amplitude widths
 OUTPUT_PAD_SIGMAS = 6.5  # output grids: half-width in intensity sigmas
 # most samples on one grid axis: about 16 MB per complex array of one axis
 MAX_AXIS_SAMPLES = 2**20
+# largest bound on the rounding of a closed-form exponent on its grid; the
+# traces it passes agree with quadrature to about 1e-4
+MAX_EXPONENT_ROUNDING = 1e-2
 
 
 def axis_prefactor(mu: float, s):
@@ -192,10 +197,39 @@ def _required_samples(k_max: float, span: float,
     return _odd(max(33, int(math.ceil(cycles * samples_per_cycle)) + 1))
 
 
+def time_samples(span: float, feature: float, what: str) -> int:
+    """n_t of an automatic time axis: SAMPLES_PER_FEATURE samples per
+    feature, the narrowest width or period of the intensity, over span; an
+    odd count, at least MIN_TIME_SAMPLES. Past MAX_AXIS_SAMPLES it raises
+    before anything is allocated."""
+    step = feature / SAMPLES_PER_FEATURE
+    per_span = span / step if step > 0 else math.inf
+    n = (_odd(max(MIN_TIME_SAMPLES, math.ceil(per_span)))
+         if per_span < math.inf else None)
+    if n is None or n > MAX_AXIS_SAMPLES:
+        raise ResolutionError(
+            f"resolving {what} {feature:g} over a span of {span:g} needs "
+            f"n_t = {per_span if n is None else n}, above the ceiling of "
+            f"{MAX_AXIS_SAMPLES}", required_n_t=n)
+    return n
+
+
 def _closed_form_axis(comps: list, out: np.ndarray, mu: float, s: float):
     """Propagate the Gaussian components of one axis in closed form: their
-    values on out and the exact norm^2 of their sum before and after."""
+    values on out and the exact norm^2 of their sum before and after.
+
+    Each value is exp(logamp - a u^2 + b u), whose terms can be far larger
+    than their sum. It raises where their rounding leaves the modulus or,
+    for more than one component, the relative phases unreliable."""
     moved = [propagate_component(cp, mu, s) for cp in comps]
+    u = max(abs(out[0]), abs(out[-1]))
+    mag = np.abs if len(moved) > 1 else (lambda z: np.abs(np.real(z)))
+    size = max(mag(m.logamp) + mag(m.a) * u * u + mag(m.b) * u
+               for m in moved)
+    if not size * np.finfo(float).eps <= MAX_EXPONENT_ROUNDING:
+        raise DomainError(
+            f"closed-form exponent terms reach {size:.3g} on the grid up to "
+            f"|u| = {u:.3g}: their rounding passes {MAX_EXPONENT_ROUNDING}")
     before, after = (float(sum(component_overlap(f, g)
                                for f in cs for g in cs).real)
                      for cs in (comps, moved))
@@ -272,13 +306,21 @@ def _input_x(spatial: GaussianSpatialPacket) -> tuple:
     return spatial.center_x - pad, spatial.center_x + pad
 
 
-def _output_axis(comps: list, s: float, k0: float, n: int | None) -> tuple:
-    """(lo, hi, n) of an output axis covering the components spread over s
-    and resolving their kernel chirp (none at s = 0) plus wavenumber k0."""
+def _padded_range(comps: list) -> tuple:
+    """(lo, hi) covering the intensities of the components."""
     lo = min(cp.intensity_mean - OUTPUT_PAD_SIGMAS * cp.intensity_sigma
              for cp in comps)
     hi = max(cp.intensity_mean + OUTPUT_PAD_SIGMAS * cp.intensity_sigma
              for cp in comps)
+    return lo, hi
+
+
+def _output_axis(comps: list, s: float, k0: float, n: int | None) -> tuple:
+    """(lo, hi, n) of the x axis of an output grid, covering the components
+    spread over s and resolving their kernel chirp (none at s = 0) plus
+    wavenumber k0. It sizes x only: time axes sample the intensity's own
+    features (time_samples)."""
+    lo, hi = _padded_range(comps)
     if n is None:
         k_max = ((hi - lo) / abs(s) if s else 0.0) + k0
         n = min(2048, _required_samples(k_max, hi - lo,
@@ -328,7 +370,13 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
 
 def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
                      n_x: int | None = None, n_t: int | None = None) -> Grid2D:
-    """Grid covering the propagated envelope and resolving its chirp."""
+    """Grid covering the propagated envelope: x resolves its chirp, and t,
+    unless n_t is given, the narrowest feature of the temporal intensity.
+    That is the gate width under the time shift. Under covariant spreading
+    it is the spread envelope's sigma or the fringe period 2 pi / |Im(b_j -
+    b_k)| of the cross terms, whichever is shorter; the phase of
+    T_j conj(T_k) is exactly linear in t for gates of one width. The chirp
+    common to all gates cancels in the intensity."""
     mu_t = time_mass(theory)
     lo_x, hi_x, n_x = _output_x(packet.spatial, s, n_x)
     if mu_t is None:
@@ -337,19 +385,21 @@ def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
         hi_t = max(g.center_t + 1.25 * OUTPUT_PAD_SIGMAS * g.width_delta_t
                    for g in packet.gates) + s
         if n_t is None:
-            w_min = min(g.width_delta_t for g in packet.gates)
-            n_t = _odd(max(129, int(math.ceil((hi_t - lo_t) / (w_min / 12.0)))))
-            if n_t > MAX_AXIS_SAMPLES:
-                raise ResolutionError(
-                    f"resolving gates of width {w_min:g} over a span of "
-                    f"{hi_t - lo_t:g} needs n_t = {n_t}, above the ceiling "
-                    f"of {MAX_AXIS_SAMPLES}", required_n_t=n_t)
+            n_t = time_samples(hi_t - lo_t,
+                               min(g.width_delta_t for g in packet.gates),
+                               "gates of width")
     else:
         tcs = [propagate_component(gate_component(g, packet.mean_energy_E0),
                                    mu_t, s)
                for g in packet.gates]
-        lo_t, hi_t, n_t = _output_axis(tcs, s, abs(packet.mean_energy_E0),
-                                       n_t)
+        lo_t, hi_t = _padded_range(tcs)
+        if n_t is None:
+            rates = [float(cp.b.imag) for cp in tcs]
+            beat = max(rates) - min(rates)
+            period = 2.0 * math.pi / beat if beat else math.inf
+            n_t = time_samples(hi_t - lo_t,
+                               min(period, *(cp.intensity_sigma for cp in tcs)),
+                               "intensity features of width")
     return Grid2D(lo_x, hi_x, n_x, lo_t, hi_t, n_t)
 
 

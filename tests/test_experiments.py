@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from timefringe.errors import (DomainError, NoFringes, OverlapWarning,
                                ResolutionError)
-from timefringe.experiments import (DESK_SCALE, IntensityTrace, TwoGateConfig,
+from timefringe.experiments import (DESK_SCALE, MIN_INTERFERENCE_VISIBILITY,
+                                    IntensityTrace, TwoGateConfig,
                                     _refine_peak, build_packet,
-                                    extract_fringes, two_gate_run,
-                                    visibility_scan)
+                                    extract_fringes, outcome_fringes,
+                                    two_gate_run, visibility_scan)
 from timefringe.numerics import simpson_weights
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, MAX_AXIS_SAMPLES,
-                                    QUADRATURE, SCHRODINGER, STUECKELBERG,
-                                    auto_output_grid, propagate_floquet,
+                                    QUADRATURE, SAMPLES_PER_FEATURE,
+                                    SCHRODINGER, STUECKELBERG,
+                                    auto_output_grid, gate_component,
+                                    propagate_component, propagate_floquet,
                                     propagate_stueckelberg)
 
 
@@ -126,12 +129,19 @@ class TestTwoGateRun:
         ({"momentum": 1e3}, 54371),      # 0.30 samples per arrival sigma
         ({"gate_spacing": 1e4}, 8469)])  # 1.9
     def test_unresolved_arrival_raises_with_required_n_t(self, change, need):
-        cfg = replace(DESK_SCALE, **change)
+        cfg = replace(DESK_SCALE, n_t=2049, **change)
         with pytest.raises(ResolutionError) as err:
             two_gate_run(SCHRODINGER, cfg)
         assert err.value.required_n_t == need
         trace = two_gate_run(SCHRODINGER, replace(cfg, n_t=need)).trace
         assert np.max(trace.intensity) > 0
+
+    @pytest.mark.parametrize("change", [{"momentum": 1e3},
+                                        {"gate_spacing": 1e4}])
+    def test_automatic_grid_resolves_the_arrival(self, change):
+        trace = two_gate_run(SCHRODINGER, replace(DESK_SCALE, **change)).trace
+        assert np.max(trace.intensity) > 0
+        assert len(trace.times) % 2 == 1
 
     def test_overlapping_gates_warn(self):
         cfg = replace(DESK_SCALE, gate_spacing=0.25)
@@ -172,7 +182,7 @@ class TestTwoGateRun:
                                    atol=1e-12 * np.max(incoherent))
 
     def test_unresolved_fringes_raise_with_required_n_t(self):
-        cfg = replace(DESK_SCALE, gate_spacing=96.0)
+        cfg = replace(DESK_SCALE, gate_spacing=96.0, n_t=2048)
         with pytest.raises(ResolutionError) as err:
             two_gate_run(STUECKELBERG, cfg)
         cfg = replace(cfg, n_t=err.value.required_n_t)
@@ -186,7 +196,7 @@ class TestTwoGateRun:
         # grid.n_t is checked against, so the error names the ceiling
         advice = (f"need n_t >= {need}" if need
                   else f"needs more than the ceiling of {MAX_AXIS_SAMPLES}")
-        cfg = replace(DESK_SCALE, flight_distance=flight)
+        cfg = replace(DESK_SCALE, flight_distance=flight, n_t=2048)
         with pytest.raises(ResolutionError, match=advice) as err:
             two_gate_run(STUECKELBERG, cfg)
         assert err.value.required_n_t == need
@@ -195,7 +205,7 @@ class TestTwoGateRun:
         # at eps = 192 the joint input time range of the two gates takes
         # 56907 quadrature nodes; a dense n_t x n_in kernel would need GiB
         cfg = replace(DESK_SCALE, gate_spacing=192.0, flight_distance=1.5,
-                      engine=QUADRATURE)
+                      engine=QUADRATURE, n_t=2048)
         with pytest.raises(ResolutionError) as err:
             two_gate_run(STUECKELBERG, cfg)
         cfg = replace(cfg, n_t=err.value.required_n_t)
@@ -211,6 +221,54 @@ class TestTwoGateRun:
                                    exact.trace.intensity, rtol=0,
                                    atol=1e-6 * np.max(exact.trace.intensity))
 
+    @pytest.mark.parametrize("eps,flight", [(12.0, 2.0), (96.0, 2.0),
+                                            (48.0, 1.5), (8.0, 4.0)])
+    def test_automatic_grid_resolves_the_exact_fringe(self, eps, flight):
+        # SAMPLES_PER_FEATURE samples over the span per period of the cross
+        # term, whose phase Im(b_1 - b_2) t is exactly linear; the law's
+        # period is within 0.2 % of it here, so the given-n_t guard of 8
+        # samples per fringe would pass too
+        cfg = replace(DESK_SCALE, gate_spacing=eps, flight_distance=flight)
+        packet = build_packet(cfg)
+        b1, b2 = (propagate_component(gate_component(g, packet.mean_energy_E0),
+                                      -1.0, cfg.s_star).b
+                  for g in packet.gates)
+        exact = 2.0 * math.pi / abs(b1.imag - b2.imag)
+        times = two_gate_run(STUECKELBERG, cfg).trace.times
+        n_t, span = len(times), times[-1] - times[0]
+        assert n_t * exact / span >= SAMPLES_PER_FEATURE
+        assert (n_t - 1) * exact / span > SAMPLES_PER_FEATURE - 0.1
+        assert (n_t - 1) * cfg.predicted_spacing() / span > 11.9
+        assert exact == pytest.approx(cfg.predicted_spacing(), rel=2e-3)
+
+    @pytest.mark.parametrize("flight", [1e-3, 1e-5])
+    def test_automatic_grid_has_no_law_guard(self, flight):
+        # so short a flight is near field: the gates never overlap, the
+        # exact period is 6.5 while the law says 0.0026, and the run
+        # resolves the trace it has; the visibility floor judges it
+        outcome = two_gate_run(STUECKELBERG,
+                               replace(DESK_SCALE, flight_distance=flight))
+        assert len(outcome.trace.times) < 1000
+        assert outcome.interference_visibility < MIN_INTERFERENCE_VISIBILITY
+        with pytest.raises(NoFringes, match="below the floor"):
+            outcome_fringes(outcome)
+
+    @pytest.mark.parametrize("theory", [SCHRODINGER, FLOQUET, STUECKELBERG])
+    @pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
+    @pytest.mark.parametrize("change", [{}, {"gate_spacing": 48.0},
+                                        {"flight_distance": 3.5}])
+    def test_trace_equals_explicit_n_t_run(self, theory, engine, change):
+        # the t range does not depend on n_t, so the automatic count given
+        # as grid.n_t reproduces the trace bit for bit
+        cfg = replace(DESK_SCALE, engine=engine, **change)
+        auto = two_gate_run(theory, cfg)
+        given = two_gate_run(theory, replace(cfg, n_t=len(auto.trace.times)))
+        for a, b in ((auto.trace, given.trace),
+                     (auto.incoherent_trace, given.incoherent_trace)):
+            np.testing.assert_array_equal(a.times, b.times)
+            np.testing.assert_array_equal(a.intensity, b.intensity)
+        assert auto.interference_visibility == given.interference_visibility
+
     def test_deterministic(self):
         a = two_gate_run(STUECKELBERG)
         b = two_gate_run(STUECKELBERG)
@@ -221,30 +279,30 @@ class TestTwoGateRun:
 # Desk-scale traces: theory, engine, n_t, first and last time, intensity at
 # fixed indices, intensity sum. The control ignores the engine.
 DESK_TRACE_PINS = [
-    ("schrodinger_control", "closed_form", 2049,
+    ("schrodinger_control", "closed_form", 129,
      -72.15773105863909, 104.15773105863909,
-     {839: 0.048189053737884076, 990: 0.09903713369559732,
-      1141: 0.08021782499183042, 1292: 0.051411758536908755,
-      1443: 0.034275594071831894, 1595: 0.024817009988523632,
-      1746: 0.019238543605995553, 1897: 0.015627260287067974,
-      2048: 0.013126028636833528},
-     51.107006220215425),
-    ("stueckelberg", "closed_form", 2048,
+     {56: 0.053227174793536766, 62: 0.09906338495623984,
+      71: 0.08126612813153195, 81: 0.05080946051762689,
+      90: 0.03452323301829309, 100: 0.024585702020702066,
+      109: 0.01929695527682372, 119: 0.015491205977463587,
+      128: 0.013126028636833528},
+     3.1762699251536306),
+    ("stueckelberg", "closed_form", 449,
      -81.7526032801682, 114.15260328016821,
-     {463: 5.4411572786595896e-06, 603: 6.616410767875198e-05,
-      743: 0.0009164934761695296, 883: 0.0002892733382937354,
-      1023: 0.005396267886846814, 1164: 0.0002892733382938079,
-      1304: 0.0009164934761695602, 1444: 6.616410767876022e-05,
-      1584: 5.4411572786600165e-06},
-     1.0947070852867347),
-    ("stueckelberg", "quadrature", 2048,
+     {100: 3.5787967519222924e-06, 131: 8.304701956043666e-05,
+      162: 0.0007765364477804488, 193: 0.00039360135034669235,
+      224: 0.005400741168764786, 255: 0.0003936013503467813,
+      286: 0.0007765364477804806, 317: 8.304701956044413e-05,
+      348: 3.5787967519226655e-06},
+     0.23958415936001026),
+    ("stueckelberg", "quadrature", 449,
      -81.7526032801682, 114.15260328016821,
-     {463: 5.441157278651018e-06, 603: 6.616410767872432e-05,
-      743: 0.0009164934761691476, 883: 0.0002892733382936134,
-      1023: 0.005396267886845138, 1164: 0.00028927333829362943,
-      1304: 0.0009164934761691388, 1444: 6.616410767872551e-05,
-      1584: 5.441157278650971e-06},
-     1.0947070852863214),
+     {100: 3.5787967519157207e-06, 131: 8.30470195603868e-05,
+      162: 0.0007765364477801487, 193: 0.0003936013503465462,
+      224: 0.0054007411687631, 255: 0.00039360135034653226,
+      286: 0.0007765364477801606, 317: 8.304701956038915e-05,
+      348: 3.5787967519160586e-06},
+     0.23958415935991992),
     ("floquet", "closed_form", 483, 5.9375, 26.0625,
      {66: 6.383388677594763e-05, 82: 0.011558229940441114,
       97: 0.059072036342303055, 113: 0.010592257747503879,
@@ -273,6 +331,19 @@ def test_desk_trace_is_pinned(theory, engine, n_t, t_first, t_last, samples,
     np.testing.assert_allclose(trace.intensity[list(samples)],
                                list(samples.values()), rtol=1e-12)
     assert float(np.sum(trace.intensity)) == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [8.0, 12.0, 17.5, 24.0, 31.0, 48.0])
+@pytest.mark.parametrize("flight", [1.5, 2.0, 2.75, 4.0])
+@pytest.mark.parametrize("width", [0.5, 0.3])
+def test_time_shift_grid_counts_are_unchanged(eps, flight, width):
+    # the time-shift t axis samples the narrowest gate 12 times over its
+    # span, as it did before every time axis took that rule
+    cfg = replace(DESK_SCALE, gate_spacing=eps, flight_distance=flight,
+                  gate_width=width)
+    grid = auto_output_grid(build_packet(cfg), FLOQUET, cfg.s_star)
+    count = int(math.ceil((grid.t_max - grid.t_min) / (width / 12.0)))
+    assert grid.n_t == max(129, count + (count % 2 == 0))
 
 
 def planted_trace(period=0.5, n=4001, center=10.0, envelope_sigma=3.0):
@@ -429,6 +500,19 @@ class TestVisibilityScan:
             assert row.visibility == outcome.interference_visibility
             assert row.spacing_T == report.spacing_T
             assert row.error is None
+
+    def test_row_below_visibility_floor_keeps_its_visibility(self):
+        rows = visibility_scan(STUECKELBERG, DESK_SCALE, [12.0, 96.0])
+        direct = two_gate_run(STUECKELBERG,
+                              replace(DESK_SCALE, gate_spacing=96.0))
+        vis = direct.interference_visibility
+        assert rows[0].error is None
+        assert rows[1].visibility == vis < MIN_INTERFERENCE_VISIBILITY
+        assert rows[1].spacing_T is None
+        assert rows[1].error == (
+            f"NoFringes: interference visibility {vis:.3g} is below the "
+            f"floor of {MIN_INTERFERENCE_VISIBILITY}; the peaks left are "
+            "the gate envelopes")
 
     def test_bad_row_is_isolated(self):
         rows = visibility_scan(STUECKELBERG, DESK_SCALE, [12.0, -1.0])

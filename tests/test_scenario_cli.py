@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from timefringe import experiments
 from timefringe.cli import main
 from timefringe.errors import ConfigError, IoError
+from timefringe.experiments import MIN_INTERFERENCE_VISIBILITY
 from timefringe.propagation import MAX_AXIS_SAMPLES
 from timefringe.scenario import Scenario, parse_scenario, scenario_from_dict
 
@@ -232,6 +233,13 @@ class TestCliSimulate:
         assert report["fringes"] is not None
         assert report["fringes"]["relative_error"] < 0.10
         assert report["interference_visibility"] >= 0.5
+        grid = report["time_grid"]
+        assert grid == {"n_t": 449, "t_min": pytest.approx(-81.7526032801682),
+                        "t_max": pytest.approx(114.15260328016821),
+                        "samples_per_fringe": pytest.approx(
+                            report["predicted_spacing_T"] * 448
+                            / (grid["t_max"] - grid["t_min"]))}
+        assert grid["samples_per_fringe"] > 11.9
         svg = (out / "trace.svg").read_text()
         assert "scenario-sha256:" + report["scenario_hash"] in svg
         with open(out / "trace.csv", newline="") as fh:
@@ -247,6 +255,8 @@ class TestCliSimulate:
         report = json.loads((out / "report.json").read_text())
         assert report["interference_visibility"] == 0.0
         assert report["no_fringes_expected"] is True
+        assert report["time_grid"]["n_t"] == 129
+        assert report["time_grid"]["samples_per_fringe"] is None
 
     def test_missing_fringes_fails_for_covariant(self, tmp_path):
         sc = tmp_path / "sc.json"
@@ -258,15 +268,50 @@ class TestCliSimulate:
     @pytest.mark.parametrize("eps,code", [(96.0, 3), (48.0, 0)])
     def test_unresolved_fringes_are_resolution_error(self, tmp_path, capsys,
                                                      eps, code):
-        # at L = 2 the capped time grid gives 4.8 samples per predicted
-        # fringe at eps = 96 and 11.6 at eps = 48
+        # at L = 2, n_t = 2048 gives 4.8 samples per predicted fringe at
+        # eps = 96 and 11.6 at eps = 48
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps({"packet": {"gate_spacing": eps},
-                                  "sim": {"flight_distance": 2.0}}))
+                                  "sim": {"flight_distance": 2.0},
+                                  "grid": {"n_t": 2048}}))
         assert main(["simulate", "--scenario", str(sc),
                      "--out", str(tmp_path / "out")]) == code
         if code == 3:
             assert "need n_t >= " in capsys.readouterr().err
+
+    def test_below_visibility_floor_is_domain_error(self, tmp_path, capsys):
+        # at eps = 96, L = 2 the automatic grid resolves the fringes, but
+        # the gates barely overlap: V = 0.0063, and no file is written
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"packet": {"gate_spacing": 96.0},
+                                  "sim": {"flight_distance": 2.0}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(sc),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "interference visibility 0.00632 is below the floor of " \
+            f"{MIN_INTERFERENCE_VISIBILITY}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", [24.0, 48.0, 72.0, 96.0, 120.0, 144.0,
+                                     168.0, 192.0])
+    @pytest.mark.parametrize("flight", [1.5, 2.0, 4.0])
+    def test_reported_spacing_follows_the_law(self, tmp_path, capsys, eps,
+                                              flight):
+        # without a cap on the automatic grid every case runs; each one
+        # either stops at the visibility floor or reports the law's spacing
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"packet": {"gate_spacing": eps},
+                                  "sim": {"flight_distance": flight}}))
+        out = tmp_path / "out"
+        code = main(["simulate", "--scenario", str(sc), "--out", str(out)])
+        if code == 4:
+            assert "below the floor" in capsys.readouterr().err
+            return
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["interference_visibility"] >= MIN_INTERFERENCE_VISIBILITY
+        assert report["fringes"]["relative_error"] < 0.10
 
     @pytest.mark.parametrize("theory", ["stueckelberg", "floquet"])
     def test_detector_outside_x_grid_is_domain_error(self, tmp_path, capsys,
@@ -327,12 +372,31 @@ class TestCliSimulate:
                      "--out", str(tmp_path / "out")]) == 4
         assert "spatial_center = 1e+150" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("packet", "carrier_energy", 1e8), ("sim", "s_elapsed", 1e20),
+        ("packet", "momentum", 1e10)])
+    def test_closed_form_rounding_is_domain_error(self, tmp_path, capsys,
+                                                  section, key, value):
+        # the gates' exponent terms reach 1e17 and more, so their relative
+        # phase is lost to rounding: at carrier_energy = 1e8 the trace's
+        # peaks were 0.34 apart against a law of 5.24
+        assert run_one_key(tmp_path, "simulate", section, key, value,
+                           "--theory", "stueckelberg") == 4
+        assert "their rounding passes 0.01" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theory,named", [
+        ("floquet", "n_t = 1440000000195"),
+        ("stueckelberg", "n_t = 2106740179837")])
     def test_time_grid_past_ceiling_is_resolution_error(self, tmp_path,
-                                                        capsys):
-        # the time-shift grid samples each gate width 12 times: 1.4e12
+                                                        capsys, theory, named):
+        # each time grid samples its narrowest feature 12 times: the gate
+        # width under the time shift, the fringe period of gates that
+        # spread over 9.2e11 under the covariant theory
         assert run_one_key(tmp_path, "simulate", "packet", "gate_width",
-                           1e-10, "--theory", "floquet") == 3
-        assert f"ceiling of {MAX_AXIS_SAMPLES}" in capsys.readouterr().err
+                           1e-10, "--theory", theory) == 3
+        err = capsys.readouterr().err
+        assert named in err
+        assert f"ceiling of {MAX_AXIS_SAMPLES}" in err
 
     @pytest.mark.parametrize("theory,section,key,value,named", [
         ("floquet", "packet", "momentum", 1000, "n_x = 18472439"),
@@ -372,7 +436,7 @@ class TestCliSimulate:
         ("packet", "spatial_center", -1e3, 0),
         # at p = 1e300 the flight time 2e-300 squares past the float range
         ("packet", "momentum", 1e100, 3), ("packet", "momentum", 1e300, 4),
-        ("packet", "momentum", 1e3, 3), ("packet", "gate_spacing", 1e4, 3),
+        ("packet", "momentum", 1e3, 0), ("packet", "gate_spacing", 1e4, 0),
     ])
     def test_control_trace_covers_the_arrival(self, tmp_path, section, key,
                                               value, code):
