@@ -37,7 +37,6 @@ EXIT_DOMAIN = 4
 EXIT_IO = 5
 
 _G = "{:.17g}".format
-_COMMA, _LF = ord(","), ord("\n")
 
 _SCAN_HEADERS = {"gate_spacing": "gate_spacing epsilon (internal time)",
                  "flight_distance": "flight_distance L (internal length)"}
@@ -229,7 +228,7 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _read_trace_rows(path: Path) -> tuple:
+def _read_trace_csv(path: Path) -> tuple:
     """(times, intensity) read row by row; names the first bad line."""
     times, intensity = [], []
     with open(path, newline="") as fh:
@@ -252,52 +251,6 @@ def _read_trace_rows(path: Path) -> tuple:
         except csv.Error as exc:  # such as a cell past csv.field_size_limit()
             raise bad(str(exc)) from exc
     return np.asarray(times), np.asarray(intensity)
-
-
-def _two_cell_records(body: str):
-    """The cells of body, in order, when csv.reader would split it into
-    records of exactly two cells, none longer than the csv field limit;
-    None when that is not certain. A quote left in a cell is no number, so
-    float() rejects it and the caller falls back to the row loop."""
-    if not body:
-        return []
-    body = body.replace("\r\n", "\n")
-    if body.endswith("\n"):
-        body = body[:-1]
-    if "\r" in body:
-        return None
-    raw = np.frombuffer(body.encode(), dtype=np.uint8)
-    at = np.flatnonzero((raw == _COMMA) | (raw == _LF))
-    seps = raw[at]
-    # separators must run ",\n,\n...,": one comma per record, no blank line
-    if (at.size % 2 == 0 or not np.all(seps[0::2] == _COMMA)
-            or not np.all(seps[1::2] == _LF)):
-        return None
-    cell_bytes = np.diff(at, prepend=-1, append=raw.size) - 1
-    if cell_bytes.max() > csv.field_size_limit():
-        return None
-    return body.replace("\n", ",").split(",")
-
-
-def _read_trace_csv(path: Path) -> tuple:
-    """(times, intensity) exactly as _read_trace_rows gives them: parsed in
-    one pass when every record is two plain cells holding finite numbers,
-    else row by row so that the error names the bad line."""
-    with open(path, newline="") as fh:
-        try:
-            if next(csv.reader(fh), None) is None:
-                raise ConfigError("trace CSV is empty")
-        except csv.Error:  # the row loop names the line
-            return _read_trace_rows(path)
-        cells = _two_cell_records(fh.read())
-    if cells is not None:
-        try:  # float() on each cell, as in the row loop
-            values = np.array(cells, dtype=float).reshape(-1, 2)
-        except ValueError:
-            return _read_trace_rows(path)
-        if np.isfinite(values).all():
-            return values[:, 0].copy(), values[:, 1].copy()
-    return _read_trace_rows(path)
 
 
 def cmd_fringes(args) -> int:

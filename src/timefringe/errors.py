@@ -12,12 +12,12 @@ class DomainError(TimefringeError):
 class ResolutionError(TimefringeError):
     """Grid too coarse to resolve the oscillations of the integrand.
 
-    Carries the required sample counts so callers can retry.
+    Carries the n_t a time grid needs, where grid.n_t can set it, so
+    callers can retry.
     """
 
-    def __init__(self, message, required_n_x=None, required_n_t=None):
+    def __init__(self, message, required_n_t=None):
         super().__init__(message)
-        self.required_n_x = required_n_x
         self.required_n_t = required_n_t
 
 

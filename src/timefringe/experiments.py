@@ -59,7 +59,6 @@ class TwoGateConfig:
     s_override: float | None = None       # None: s* = M L / p0
     detector_x: float | None = None       # None: flight_distance
     engine: str = CLOSED_FORM
-    n_x: int | None = None
     n_t: int | None = None
 
     def __post_init__(self):
@@ -95,11 +94,11 @@ class TwoGateConfig:
 
     def predicted_spacing(self) -> float:
         """Fringe period from the covariant diffraction law
-        T = 2 pi hbar L / (<p> c^2 epsilon)."""
+        T = 2 pi hbar s / (M c^2 epsilon), which is 2 pi hbar L / (<p> c^2
+        epsilon) at s = s* = M L / p0."""
         if self.gate_spacing == 0:
             raise DomainError("no fringe prediction for zero gate spacing")
-        return (2.0 * math.pi * self.flight_distance
-                / (self.momentum * self.gate_spacing))
+        return 2.0 * math.pi * self.s_star / self.gate_spacing
 
 
 DESK_SCALE = TwoGateConfig()
@@ -171,6 +170,21 @@ class TwoGateOutcome:
     predicted_spacing: float | None
 
 
+def _check_n_t(n_t: int, span: float, feature: float, minimum: int,
+               what: str) -> None:
+    """Raise ResolutionError unless n_t samples over span give at least
+    minimum samples per feature; it names the n_t that would, or the
+    ceiling. what formats the count found, as in "{:.2f} samples per ..."."""
+    per_feature = feature * (n_t - 1) / span
+    if not per_feature >= minimum:
+        need = (math.ceil(minimum * span / feature) + 1
+                if minimum * span < (MAX_AXIS_SAMPLES - 1) * feature else None)
+        advice = (f"need n_t >= {need}" if need else
+                  f"that needs more than the ceiling of {MAX_AXIS_SAMPLES}")
+        raise ResolutionError(f"t grid gives {what.format(per_feature)} "
+                              f"(< {minimum}); {advice}", required_n_t=need)
+
+
 def _schrodinger_control_traces(cfg: TwoGateConfig):
     """Each gate's pulse propagated separately; intensities added.
 
@@ -194,16 +208,8 @@ def _schrodinger_control_traces(cfg: TwoGateConfig):
     half = 4.0 * sigma_arrival + cfg.gate_spacing
     n_t = cfg.n_t or time_samples(2.0 * half, sigma_arrival,
                                   "arrival pulses of width")
-    per_sigma = sigma_arrival * (n_t - 1) / (2.0 * half)
-    if not per_sigma >= MIN_SAMPLES_PER_ARRIVAL:
-        span = MIN_SAMPLES_PER_ARRIVAL * 2.0 * half
-        need = (math.ceil(span / sigma_arrival) + 1
-                if span < (MAX_AXIS_SAMPLES - 1) * sigma_arrival else None)
-        advice = (f"need n_t >= {need}" if need else
-                  f"that needs more than the ceiling of {MAX_AXIS_SAMPLES}")
-        raise ResolutionError(
-            f"t grid gives {per_sigma:.3g} samples per arrival-pulse sigma "
-            f"(< {MIN_SAMPLES_PER_ARRIVAL}); {advice}", required_n_t=need)
+    _check_n_t(n_t, 2.0 * half, sigma_arrival, MIN_SAMPLES_PER_ARRIVAL,
+               "{:.3g} samples per arrival-pulse sigma")
     times = np.linspace(center - half, center + half, n_t)
 
     # one row per gate: each pulse reaches the detector after it opens
@@ -238,7 +244,7 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
                               s_elapsed=s, predicted_spacing=None)
 
     packet = build_packet(cfg)
-    grid = auto_output_grid(packet, theory, s, n_x=cfg.n_x, n_t=cfg.n_t)
+    grid = auto_output_grid(packet, theory, s, n_t=cfg.n_t)
     if not grid.x_min <= cfg.detector <= grid.x_max:
         raise DomainError(
             f"detector_x = {cfg.detector:g} lies outside the x grid "
@@ -247,17 +253,9 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
                  and cfg.gate_spacing > 0 else None)
     # an automatic grid resolves the exact fringe period by construction;
     # a given n_t must resolve the law's
-    if (cfg.n_t is not None and predicted is not None
-            and predicted < MIN_SAMPLES_PER_FRINGE * grid.dt):
-        span = MIN_SAMPLES_PER_FRINGE * (grid.t_max - grid.t_min)
-        need = (math.ceil(span / predicted) + 1
-                if span < (MAX_AXIS_SAMPLES - 1) * predicted else None)
-        advice = (f"need n_t >= {need}" if need else
-                  f"that needs more than the ceiling of {MAX_AXIS_SAMPLES}")
-        raise ResolutionError(
-            f"t grid gives {predicted / grid.dt:.2f} samples per predicted "
-            f"fringe (< {MIN_SAMPLES_PER_FRINGE}); {advice}",
-            required_n_t=need)
+    if cfg.n_t is not None and predicted is not None:
+        _check_n_t(cfg.n_t, grid.t_max - grid.t_min, predicted,
+                   MIN_SAMPLES_PER_FRINGE, "{:.2f} samples per predicted fringe")
     result = propagate_spacetime(packet, theory, s, cfg.engine, grid=grid)
     # the field is X(x) sum_k T_k(t); the incoherent reference drops the
     # cross terms between gates

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +129,14 @@ def _pair_overlap(gj: TimeGate, gk: TimeGate) -> float:
     return 0.5 * math.sqrt(math.pi) * scale * (math.erf(hi) - math.erf(lo))
 
 
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """The n uniform samples of [lo, hi], read-only: a grid computes each
+    axis once and hands the same array to every caller."""
+    axis = np.linspace(lo, hi, n)
+    axis.flags.writeable = False
+    return axis
+
+
 @dataclass(frozen=True)
 class Grid1D:
     x_min: float
@@ -138,9 +147,9 @@ class Grid1D:
         if self.n_x < 2 or self.x_max <= self.x_min:
             raise DomainError("Grid1D needs n_x >= 2 and x_max > x_min")
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_x)
+        return _axis(self.x_min, self.x_max, self.n_x)
 
     @property
     def dx(self) -> float:
@@ -162,13 +171,13 @@ class Grid2D:
         if self.x_max <= self.x_min or self.t_max <= self.t_min:
             raise DomainError("Grid2D needs max > min on both axes")
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_x)
+        return _axis(self.x_min, self.x_max, self.n_x)
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.n_t)
+        return _axis(self.t_min, self.t_max, self.n_t)
 
     @property
     def dx(self) -> float:

@@ -262,8 +262,7 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
     if n_in > MAX_AXIS_SAMPLES:
         raise ResolutionError(
             f"resolving the kernel chirp needs n_{axis} = {n_in} input "
-            f"samples, above the ceiling of {MAX_AXIS_SAMPLES}",
-            **{f"required_n_{axis}": n_in})
+            f"samples, above the ceiling of {MAX_AXIS_SAMPLES}")
     h = span / (n_in - 1)
     u = np.linspace(lo, hi, n_in)
     values_in = sources(u)
@@ -315,24 +314,15 @@ def _padded_range(comps: list) -> tuple:
     return lo, hi
 
 
-def _output_axis(comps: list, s: float, k0: float, n: int | None) -> tuple:
-    """(lo, hi, n) of the x axis of an output grid, covering the components
-    spread over s and resolving their kernel chirp (none at s = 0) plus
-    wavenumber k0. It sizes x only: time axes sample the intensity's own
-    features (time_samples)."""
-    lo, hi = _padded_range(comps)
-    if n is None:
-        k_max = ((hi - lo) / abs(s) if s else 0.0) + k0
-        n = min(2048, _required_samples(k_max, hi - lo,
-                                        OUTPUT_SAMPLES_PER_CYCLE))
+def _output_x(spatial: GaussianSpatialPacket, s: float) -> tuple:
+    """(lo, hi, n) of the x axis of an automatic output grid, covering the
+    spatial packet spread over s and resolving its kernel chirp (none at
+    s = 0) plus its mean wavenumber. It sizes x only: time axes sample the
+    intensity's own features (time_samples)."""
+    lo, hi = _padded_range([schrodinger_closed_form(spatial, s)])
+    k_max = ((hi - lo) / abs(s) if s else 0.0) + abs(spatial.mean_momentum_p0)
+    n = min(2048, _required_samples(k_max, hi - lo, OUTPUT_SAMPLES_PER_CYCLE))
     return lo, hi, n
-
-
-def _output_x(spatial: GaussianSpatialPacket, s: float,
-              n_x: int | None = None) -> tuple:
-    """The x axis of an automatic output grid after spreading for s."""
-    return _output_axis([schrodinger_closed_form(spatial, s)], s,
-                        abs(spatial.mean_momentum_p0), n_x)
 
 
 # ---------------------------------------------------------------- Schrodinger
@@ -369,7 +359,7 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
 # -------------------------------------------------------- Floquet/Stueckelberg
 
 def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
-                     n_x: int | None = None, n_t: int | None = None) -> Grid2D:
+                     n_t: int | None = None) -> Grid2D:
     """Grid covering the propagated envelope: x resolves its chirp, and t,
     unless n_t is given, the narrowest feature of the temporal intensity.
     That is the gate width under the time shift. Under covariant spreading
@@ -378,7 +368,7 @@ def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
     T_j conj(T_k) is exactly linear in t for gates of one width. The chirp
     common to all gates cancels in the intensity."""
     mu_t = time_mass(theory)
-    lo_x, hi_x, n_x = _output_x(packet.spatial, s, n_x)
+    lo_x, hi_x, n_x = _output_x(packet.spatial, s)
     if mu_t is None:
         lo_t = min(g.center_t - 1.25 * OUTPUT_PAD_SIGMAS * g.width_delta_t
                    for g in packet.gates) + s

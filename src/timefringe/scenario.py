@@ -35,7 +35,7 @@ _PACKET_DEFAULTS = {
     "gate_profile": "gaussian",
 }
 _SIM_DEFAULTS = {"flight_distance": 2.0, "s_elapsed": None, "detector_x": None}
-_GRID_DEFAULTS = {"n_x": None, "n_t": None}
+_GRID_DEFAULTS = {"n_t": None}
 _ANALYSIS_DEFAULTS = {"threshold_fraction": 0.1}
 
 _TOP_DEFAULTS = {
@@ -91,7 +91,6 @@ class Scenario:
                 s_override=sim["s_elapsed"],
                 detector_x=sim["detector_x"],
                 engine=self.engine,
-                n_x=g["n_x"],
                 n_t=g["n_t"])
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc

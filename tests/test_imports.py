@@ -1,8 +1,10 @@
-"""Every name a package module imports at its top level is used there.
+"""Every name a package module imports at its top level is used there, and
+so is every private name it defines at its top level.
 
-A stale import outlives the code that needed it; no linter is a dependency,
-so this reads the modules with ``ast``. An import line marked ``# noqa`` is
-kept on purpose (a re-export another tool looks up) and is skipped.
+A stale import or helper outlives the code that needed it; no linter is a
+dependency, so this reads the modules with ``ast``. An import line marked
+``# noqa`` is kept on purpose (a re-export another tool looks up) and is
+skipped.
 """
 
 import ast
@@ -38,3 +40,29 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def _defined_names(node) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def unused_private_names(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    defined = {name: node.lineno for node in tree.body
+               for name in _defined_names(node)
+               if name.startswith("_") and not name.startswith("__")}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line}: {name}"
+            for name, line in defined.items() if name not in loaded]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_top_level_name_is_used(path):
+    assert unused_private_names(path) == []

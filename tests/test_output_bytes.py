@@ -153,39 +153,39 @@ def reference_read(path):
 HEADER = 't (internal time),"intensity (internal, |psi|^2)"'
 ROWS = ["-6.25,1.2057765329193035e-12", "0.1,3", "1e-320,0.30000000000000004"]
 
-# (name, file text, whether the one-pass parse may take it)
+# (name, file text)
 PARSE_CASES = [
-    ("crlf", HEADER + "\r\n" + "\r\n".join(ROWS) + "\r\n", True),
-    ("lf", HEADER + "\n" + "\n".join(ROWS) + "\n", True),
-    ("no_final_newline", HEADER + "\n" + "\n".join(ROWS), True),
-    ("mixed_endings", f"{HEADER}\n{ROWS[0]}\r\n{ROWS[1]}\n", True),
-    ("header_only", HEADER + "\r\n", True),
-    ("header_no_newline", HEADER, True),
-    ("empty", "", True),
-    ("blank_header", "\n" + "\n".join(ROWS) + "\n", True),
-    ("multiline_header", 't,"a\nb"\n0,1\n2,3\n', True),
-    ("spaces_and_underscores", "t,i\n 0.5 ,1_0\n1.5,\t2\n", True),
-    ("blank_middle", f"t,i\n{ROWS[0]}\n\n{ROWS[1]}\n", False),
-    ("blank_middle_crlf", f"t,i\r\n{ROWS[0]}\r\n\r\n{ROWS[1]}\r\n", False),
-    ("blank_end", f"t,i\n{ROWS[0]}\n\n", False),
-    ("blank_end_crlf", f"t,i\r\n{ROWS[0]}\r\n\r\n", False),
-    ("blank_only_body", "t,i\n\n", False),
-    ("comment_line", f"t,i\n# note\n{ROWS[0]}\n", False),
-    ("comment_after_cell", f"t,i\n{ROWS[0]}# note\n", False),
-    ("quoted_cells", f't,i\n"0.5","1.0"\n{ROWS[1]}\n', False),
-    ("third_column", f"t,i\n0.5,1.0,x\n{ROWS[1]}\n", False),
-    ("one_column", f"t,i\n{ROWS[0]}\n0.5\n", False),
-    ("empty_cell", f"t,i\n{ROWS[0]}\n0.5,\n", False),
-    ("non_numeric", f"t,i\n{ROWS[0]}\n0.5,abc\n", False),
-    ("nan_cell", f"t,i\n{ROWS[0]}\nnan,1.0\n", False),
-    ("inf_cell", f"t,i\n{ROWS[0]}\n0.5,-inf\n", False),
-    ("overflow_cell", f"t,i\n{ROWS[0]}\n0.5,1e999\n", False),
-    ("four_columns", "t,i\n0.5,1,2,3\n", False),
-    ("two_one_column_rows", f"t,i\n{ROWS[0]}\n0.5\n1.5\n", False),
-    ("cr_endings", "t,i\r0.5,1\r1.5,2\r", False),
-    ("cr_inside_row", f"t,i\n0.5\r,1\n{ROWS[1]}\n", False),
-    ("cr_before_crlf", f"t,i\r\n{ROWS[0]}\r\r\n", False),
-    ("quoted_newline", f't,i\n"0.5\n",1\n{ROWS[1]}\n', False),
+    ("crlf", HEADER + "\r\n" + "\r\n".join(ROWS) + "\r\n"),
+    ("lf", HEADER + "\n" + "\n".join(ROWS) + "\n"),
+    ("no_final_newline", HEADER + "\n" + "\n".join(ROWS)),
+    ("mixed_endings", f"{HEADER}\n{ROWS[0]}\r\n{ROWS[1]}\n"),
+    ("header_only", HEADER + "\r\n"),
+    ("header_no_newline", HEADER),
+    ("empty", ""),
+    ("blank_header", "\n" + "\n".join(ROWS) + "\n"),
+    ("multiline_header", 't,"a\nb"\n0,1\n2,3\n'),
+    ("spaces_and_underscores", "t,i\n 0.5 ,1_0\n1.5,\t2\n"),
+    ("blank_middle", f"t,i\n{ROWS[0]}\n\n{ROWS[1]}\n"),
+    ("blank_middle_crlf", f"t,i\r\n{ROWS[0]}\r\n\r\n{ROWS[1]}\r\n"),
+    ("blank_end", f"t,i\n{ROWS[0]}\n\n"),
+    ("blank_end_crlf", f"t,i\r\n{ROWS[0]}\r\n\r\n"),
+    ("blank_only_body", "t,i\n\n"),
+    ("comment_line", f"t,i\n# note\n{ROWS[0]}\n"),
+    ("comment_after_cell", f"t,i\n{ROWS[0]}# note\n"),
+    ("quoted_cells", f't,i\n"0.5","1.0"\n{ROWS[1]}\n'),
+    ("third_column", f"t,i\n0.5,1.0,x\n{ROWS[1]}\n"),
+    ("one_column", f"t,i\n{ROWS[0]}\n0.5\n"),
+    ("empty_cell", f"t,i\n{ROWS[0]}\n0.5,\n"),
+    ("non_numeric", f"t,i\n{ROWS[0]}\n0.5,abc\n"),
+    ("nan_cell", f"t,i\n{ROWS[0]}\nnan,1.0\n"),
+    ("inf_cell", f"t,i\n{ROWS[0]}\n0.5,-inf\n"),
+    ("overflow_cell", f"t,i\n{ROWS[0]}\n0.5,1e999\n"),
+    ("four_columns", "t,i\n0.5,1,2,3\n"),
+    ("two_one_column_rows", f"t,i\n{ROWS[0]}\n0.5\n1.5\n"),
+    ("cr_endings", "t,i\r0.5,1\r1.5,2\r"),
+    ("cr_inside_row", f"t,i\n0.5\r,1\n{ROWS[1]}\n"),
+    ("cr_before_crlf", f"t,i\r\n{ROWS[0]}\r\r\n"),
+    ("quoted_newline", f't,i\n"0.5\n",1\n{ROWS[1]}\n'),
 ]
 
 
@@ -196,22 +196,13 @@ def _outcome(read, path):
         return str(exc)
 
 
-@pytest.mark.parametrize("name,text,one_pass", PARSE_CASES,
+@pytest.mark.parametrize("name,text", PARSE_CASES,
                          ids=[c[0] for c in PARSE_CASES])
-def test_trace_parse_matches_row_loop(tmp_path, monkeypatch, name, text,
-                                      one_pass):
+def test_trace_parse_matches_row_loop(tmp_path, name, text):
     path = tmp_path / "trace.csv"
     with open(path, "w", newline="") as fh:
         fh.write(text)
     want = _outcome(reference_read, path)
-    row_loop_calls = []
-    row_loop = cli._read_trace_rows
-
-    def counted(p):
-        row_loop_calls.append(p)
-        return row_loop(p)
-
-    monkeypatch.setattr(cli, "_read_trace_rows", counted)
     got = _outcome(cli._read_trace_csv, path)
     if isinstance(want, str):
         assert got == want
@@ -221,12 +212,10 @@ def test_trace_parse_matches_row_loop(tmp_path, monkeypatch, name, text,
             assert a.dtype == b.dtype == np.float64
             assert a.shape == b.shape
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    if one_pass:
-        assert row_loop_calls == []
 
 
-def test_oversized_cell_falls_back_to_row_loop(tmp_path, capsys):
-    # the row loop turns csv.Error into a configuration error naming the line
+def test_oversized_cell_is_config_error(tmp_path, capsys):
+    # the reader turns csv.Error into a configuration error naming the line
     path = tmp_path / "trace.csv"
     cell = "1" * csv.field_size_limit()
     for text, line in [(f"t,i\n0.5,0.{cell}\n", 2),

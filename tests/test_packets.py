@@ -5,7 +5,7 @@ import pytest
 
 from timefringe.errors import DomainError
 from timefringe.numerics import simpson_weights
-from timefringe.packets import (GaussianSpatialPacket, Grid2D,
+from timefringe.packets import (GaussianSpatialPacket, Grid1D, Grid2D,
                                 SpacetimePacket, TimeGate)
 
 
@@ -183,6 +183,20 @@ class TestInvariantChecks:
     def test_packet_needs_a_gate(self):
         with pytest.raises(DomainError):
             SpacetimePacket(GaussianSpatialPacket(), (), 1.0)
+
+    def test_grid_axes_are_computed_once(self):
+        grid = Grid2D(-3.0, 5.0, 257, -1.5, 7.25, 513)
+        assert grid.x is grid.x
+        assert grid.t is grid.t
+        for axis, want in [(grid.x, np.linspace(-3.0, 5.0, 257)),
+                           (grid.t, np.linspace(-1.5, 7.25, 513))]:
+            assert np.array_equal(axis.view(np.int64), want.view(np.int64))
+            with pytest.raises(ValueError):
+                axis[0] = 0.0
+        line = Grid1D(-3.0, 5.0, 257)
+        assert line.x is line.x
+        assert np.array_equal(line.x.view(np.int64),
+                              np.linspace(-3.0, 5.0, 257).view(np.int64))
 
     def test_grid_invariants(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import threading
 
 import pytest
@@ -69,8 +70,8 @@ class TestScenarioSchema:
             scenario_from_dict({"setup": {"photon_count": 1.5}})
         with pytest.raises(ConfigError, match="threshold_fraction"):
             scenario_from_dict({"analysis": {"threshold_fraction": 0.0}})
-        with pytest.raises(ConfigError, match="grid.n_x"):
-            scenario_from_dict({"grid": {"n_x": 1}})
+        with pytest.raises(ConfigError, match="grid.n_t"):
+            scenario_from_dict({"grid": {"n_t": 1}})
         with pytest.raises(ConfigError, match="theory"):
             scenario_from_dict({"theory": "bohmian"})
 
@@ -99,10 +100,12 @@ class TestScenarioSchema:
         assert_config_error(tmp_path, capsys, command, section, key, value)
 
     def test_removed_scales_block_is_rejected(self, tmp_path, capsys):
-        # so are the setup keys that no computation read
+        # so are the setup keys that no computation read, and grid.n_x,
+        # which no scenario needed: the x axis sizes itself
         for raw, key in [
                 ({"scales": {"length_scale": 1.0, "time_scale": 1.0,
                              "mass_scale": 1.0}}, "scales"),
+                ({"grid": {"n_x": 2048}}, "grid.n_x"),
                 ({"setup": {"gate_spacing_s": 2.8e-15}},
                  "setup.gate_spacing_s"),
                 ({"setup": {"gate_width_s": 2.5e-16}}, "setup.gate_width_s")]:
@@ -121,12 +124,11 @@ class TestScenarioSchema:
         assert main(["simulate", "--scenario", str(sc),
                      "--out", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("key", ["n_x", "n_t"])
-    def test_grid_size_ceiling(self, tmp_path, capsys, key):
-        sc = scenario_from_dict({"grid": {key: MAX_AXIS_SAMPLES}})
-        assert sc.grid[key] == MAX_AXIS_SAMPLES
+    def test_grid_size_ceiling(self, tmp_path, capsys):
+        sc = scenario_from_dict({"grid": {"n_t": MAX_AXIS_SAMPLES}})
+        assert sc.grid["n_t"] == MAX_AXIS_SAMPLES
         for value in (MAX_AXIS_SAMPLES + 1, 10**30):
-            assert_config_error(tmp_path, capsys, "simulate", "grid", key,
+            assert_config_error(tmp_path, capsys, "simulate", "grid", "n_t",
                                 value)
 
     def test_parse_scenario_io(self, tmp_path):
@@ -246,6 +248,18 @@ class TestCliSimulate:
             rows = list(csv.reader(fh))
         assert len(rows) > 100
         assert rows[0][0].startswith("t ")
+
+    def test_overridden_s_sets_the_law(self, tmp_path):
+        # s = 1000 moves the fringe period to 2 pi s / eps = 523.6, far from
+        # the 5.24 that L = 2 and p = 0.2 would give
+        out = tmp_path / "out"
+        assert run_one_key(tmp_path, "simulate", "sim", "s_elapsed",
+                           1000) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["predicted_spacing_T"] == pytest.approx(
+            2 * math.pi * 1000 / 12.0, rel=1e-12)
+        assert report["fringes"]["relative_error"] < 0.01
+        assert report["time_grid"]["samples_per_fringe"] >= 11.9
 
     def test_control_run_expects_no_fringes(self, tmp_path):
         out = tmp_path / "out"
