@@ -254,10 +254,15 @@ def _read_trace_csv(path: Path) -> tuple:
 
 
 def cmd_fringes(args) -> int:
+    if not 0.0 < args.threshold < 1.0:
+        raise ConfigError(
+            f"--threshold must be in (0, 1), got {args.threshold}")
     path = Path(args.trace)
     if not path.exists():
         raise IoError(f"trace file not found: {path}")
     times, intensity = _read_trace_csv(path)
+    if len(times) == 0:
+        raise ConfigError("trace CSV has no data rows")
     trace = IntensityTrace(times=times, intensity=intensity,
                            detector_x=float("nan"), theory="reanalysis")
     out = _out_dir(args)

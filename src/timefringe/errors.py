@@ -10,19 +10,17 @@ class DomainError(TimefringeError):
 
 
 class ResolutionError(TimefringeError):
-    """Grid too coarse to resolve the oscillations of the integrand.
-
-    Carries the n_t a time grid needs, where grid.n_t can set it, so
-    callers can retry.
-    """
-
-    def __init__(self, message, required_n_t=None):
-        super().__init__(message)
-        self.required_n_t = required_n_t
+    """The ceiling error: resolving the run would take more samples on one
+    axis than propagation.MAX_AXIS_SAMPLES, or a count past the float
+    range. The axis is an automatic output time axis or a quadrature input
+    grid, and the message names the count it needed."""
 
 
 class NoFringes(TimefringeError):
-    """Fewer than two peaks found in a trace; expected for control runs."""
+    """A trace has no fringes to report: it carries no intensity, its
+    central window holds fewer than two peaks, or its covariant
+    interference visibility is below the floor, so the peaks left are the
+    gate envelopes. Expected for control runs."""
 
 
 class ConfigError(TimefringeError):

@@ -20,18 +20,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NoFringes, OverlapWarning, ResolutionError
+from .errors import DomainError, NoFringes, OverlapWarning
 from .packets import (GAUSSIAN, GATE_PROFILES, GaussianSpatialPacket,
                       SpacetimePacket, TimeGate)
-from .propagation import (CLOSED_FORM, ENGINES, MAX_AXIS_SAMPLES, SCHRODINGER,
-                          STUECKELBERG, THEORIES, auto_output_grid,
-                          propagate_component, propagate_spacetime,
-                          spatial_component, time_samples)
+from .propagation import (CLOSED_FORM, ENGINES, SCHRODINGER, STUECKELBERG,
+                          THEORIES, auto_output_grid, propagate_component,
+                          propagate_spacetime, spatial_component,
+                          time_samples)
 # perfbench/tracing.py wraps these two by name in this module.
 from .propagation import propagate_floquet, propagate_stueckelberg  # noqa
 
-MIN_SAMPLES_PER_FRINGE = 8  # below this the peak spacing is off by percents
-MIN_SAMPLES_PER_ARRIVAL = 8  # control trace samples per arrival-pulse sigma
 # below this covariant interference visibility the peaks of a trace may be
 # the two gate envelopes, not fringes: at L = 1.5, eps = 72 (V = 0.0063)
 # their spacing is 34 times the law's. Over L in {1.5, 2, 4} and eps in
@@ -59,7 +57,6 @@ class TwoGateConfig:
     s_override: float | None = None       # None: s* = M L / p0
     detector_x: float | None = None       # None: flight_distance
     engine: str = CLOSED_FORM
-    n_t: int | None = None
 
     def __post_init__(self):
         if self.flight_distance <= 0:
@@ -170,21 +167,6 @@ class TwoGateOutcome:
     predicted_spacing: float | None
 
 
-def _check_n_t(n_t: int, span: float, feature: float, minimum: int,
-               what: str) -> None:
-    """Raise ResolutionError unless n_t samples over span give at least
-    minimum samples per feature; it names the n_t that would, or the
-    ceiling. what formats the count found, as in "{:.2f} samples per ..."."""
-    per_feature = feature * (n_t - 1) / span
-    if not per_feature >= minimum:
-        need = (math.ceil(minimum * span / feature) + 1
-                if minimum * span < (MAX_AXIS_SAMPLES - 1) * feature else None)
-        advice = (f"need n_t >= {need}" if need else
-                  f"that needs more than the ceiling of {MAX_AXIS_SAMPLES}")
-        raise ResolutionError(f"t grid gives {what.format(per_feature)} "
-                              f"(< {minimum}); {advice}", required_n_t=need)
-
-
 def _schrodinger_control_traces(cfg: TwoGateConfig):
     """Each gate's pulse propagated separately; intensities added.
 
@@ -206,10 +188,7 @@ def _schrodinger_control_traces(cfg: TwoGateConfig):
     sigma_arrival = spread.intensity_sigma / cfg.momentum
     center = t_flight + 0.5 * cfg.gate_spacing
     half = 4.0 * sigma_arrival + cfg.gate_spacing
-    n_t = cfg.n_t or time_samples(2.0 * half, sigma_arrival,
-                                  "arrival pulses of width")
-    _check_n_t(n_t, 2.0 * half, sigma_arrival, MIN_SAMPLES_PER_ARRIVAL,
-               "{:.3g} samples per arrival-pulse sigma")
+    n_t = time_samples(2.0 * half, sigma_arrival, "arrival pulses of width")
     times = np.linspace(center - half, center + half, n_t)
 
     # one row per gate: each pulse reaches the detector after it opens
@@ -244,18 +223,13 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
                               s_elapsed=s, predicted_spacing=None)
 
     packet = build_packet(cfg)
-    grid = auto_output_grid(packet, theory, s, n_t=cfg.n_t)
+    grid = auto_output_grid(packet, theory, s)
     if not grid.x_min <= cfg.detector <= grid.x_max:
         raise DomainError(
             f"detector_x = {cfg.detector:g} lies outside the x grid "
             f"[{grid.x_min:g}, {grid.x_max:g}]")
     predicted = (cfg.predicted_spacing() if theory == STUECKELBERG
                  and cfg.gate_spacing > 0 else None)
-    # an automatic grid resolves the exact fringe period by construction;
-    # a given n_t must resolve the law's
-    if cfg.n_t is not None and predicted is not None:
-        _check_n_t(cfg.n_t, grid.t_max - grid.t_min, predicted,
-                   MIN_SAMPLES_PER_FRINGE, "{:.2f} samples per predicted fringe")
     result = propagate_spacetime(packet, theory, s, cfg.engine, grid=grid)
     # the field is X(x) sum_k T_k(t); the incoherent reference drops the
     # cross terms between gates

@@ -210,7 +210,7 @@ def time_samples(span: float, feature: float, what: str) -> int:
         raise ResolutionError(
             f"resolving {what} {feature:g} over a span of {span:g} needs "
             f"n_t = {per_span if n is None else n}, above the ceiling of "
-            f"{MAX_AXIS_SAMPLES}", required_n_t=n)
+            f"{MAX_AXIS_SAMPLES}")
     return n
 
 
@@ -358,15 +358,15 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
 
 # -------------------------------------------------------- Floquet/Stueckelberg
 
-def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
-                     n_t: int | None = None) -> Grid2D:
-    """Grid covering the propagated envelope: x resolves its chirp, and t,
-    unless n_t is given, the narrowest feature of the temporal intensity.
-    That is the gate width under the time shift. Under covariant spreading
-    it is the spread envelope's sigma or the fringe period 2 pi / |Im(b_j -
-    b_k)| of the cross terms, whichever is shorter; the phase of
-    T_j conj(T_k) is exactly linear in t for gates of one width. The chirp
-    common to all gates cancels in the intensity."""
+def auto_output_grid(packet: SpacetimePacket, theory: str,
+                     s: float) -> Grid2D:
+    """Grid covering the propagated envelope: x resolves its chirp, and t
+    the narrowest feature of the temporal intensity. That is the gate
+    width under the time shift. Under covariant spreading it is the spread
+    envelope's sigma or the fringe period 2 pi / |Im(b_j - b_k)| of the
+    cross terms, whichever is shorter; the phase of T_j conj(T_k) is
+    exactly linear in t for gates of one width. The chirp common to all
+    gates cancels in the intensity."""
     mu_t = time_mass(theory)
     lo_x, hi_x, n_x = _output_x(packet.spatial, s)
     if mu_t is None:
@@ -374,22 +374,20 @@ def auto_output_grid(packet: SpacetimePacket, theory: str, s: float,
                    for g in packet.gates) + s
         hi_t = max(g.center_t + 1.25 * OUTPUT_PAD_SIGMAS * g.width_delta_t
                    for g in packet.gates) + s
-        if n_t is None:
-            n_t = time_samples(hi_t - lo_t,
-                               min(g.width_delta_t for g in packet.gates),
-                               "gates of width")
+        n_t = time_samples(hi_t - lo_t,
+                           min(g.width_delta_t for g in packet.gates),
+                           "gates of width")
     else:
         tcs = [propagate_component(gate_component(g, packet.mean_energy_E0),
                                    mu_t, s)
                for g in packet.gates]
         lo_t, hi_t = _padded_range(tcs)
-        if n_t is None:
-            rates = [float(cp.b.imag) for cp in tcs]
-            beat = max(rates) - min(rates)
-            period = 2.0 * math.pi / beat if beat else math.inf
-            n_t = time_samples(hi_t - lo_t,
-                               min(period, *(cp.intensity_sigma for cp in tcs)),
-                               "intensity features of width")
+        rates = [float(cp.b.imag) for cp in tcs]
+        beat = max(rates) - min(rates)
+        period = 2.0 * math.pi / beat if beat else math.inf
+        n_t = time_samples(hi_t - lo_t,
+                           min(period, *(cp.intensity_sigma for cp in tcs)),
+                           "intensity features of width")
     return Grid2D(lo_x, hi_x, n_x, lo_t, hi_t, n_t)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import ConfigError, DomainError, IoError
 from .experiments import TwoGateConfig
 from .packets import GATE_PROFILES
-from .propagation import ENGINES, MAX_AXIS_SAMPLES, THEORIES
+from .propagation import ENGINES, THEORIES
 from .units import MOMENTUM_MODELS, PhysicalSetup
 
 _SETUP_DEFAULTS = {
@@ -35,7 +35,6 @@ _PACKET_DEFAULTS = {
     "gate_profile": "gaussian",
 }
 _SIM_DEFAULTS = {"flight_distance": 2.0, "s_elapsed": None, "detector_x": None}
-_GRID_DEFAULTS = {"n_t": None}
 _ANALYSIS_DEFAULTS = {"threshold_fraction": 0.1}
 
 _TOP_DEFAULTS = {
@@ -44,7 +43,6 @@ _TOP_DEFAULTS = {
     "setup": _SETUP_DEFAULTS,
     "packet": _PACKET_DEFAULTS,
     "sim": _SIM_DEFAULTS,
-    "grid": _GRID_DEFAULTS,
     "analysis": _ANALYSIS_DEFAULTS,
 }
 
@@ -56,7 +54,6 @@ class Scenario:
     setup: dict = field(default_factory=lambda: dict(_SETUP_DEFAULTS))
     packet: dict = field(default_factory=lambda: dict(_PACKET_DEFAULTS))
     sim: dict = field(default_factory=lambda: dict(_SIM_DEFAULTS))
-    grid: dict = field(default_factory=lambda: dict(_GRID_DEFAULTS))
     analysis: dict = field(default_factory=lambda: dict(_ANALYSIS_DEFAULTS))
 
     def to_dict(self) -> dict:
@@ -77,7 +74,7 @@ class Scenario:
             raise ConfigError(f"setup: {exc}") from exc
 
     def two_gate_config(self) -> TwoGateConfig:
-        p, sim, g = self.packet, self.sim, self.grid
+        p, sim = self.packet, self.sim
         try:
             return TwoGateConfig(
                 flight_distance=sim["flight_distance"],
@@ -90,8 +87,7 @@ class Scenario:
                 carrier_energy=p["carrier_energy"],
                 s_override=sim["s_elapsed"],
                 detector_x=sim["detector_x"],
-                engine=self.engine,
-                n_t=g["n_t"])
+                engine=self.engine)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -152,7 +148,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     setup = _merge_section("setup", raw.get("setup"), _SETUP_DEFAULTS)
     packet = _merge_section("packet", raw.get("packet"), _PACKET_DEFAULTS)
     sim = _merge_section("sim", raw.get("sim"), _SIM_DEFAULTS)
-    grid = _merge_section("grid", raw.get("grid"), _GRID_DEFAULTS)
     analysis = _merge_section("analysis", raw.get("analysis"),
                               _ANALYSIS_DEFAULTS)
 
@@ -185,19 +180,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
     _require_number("sim", "s_elapsed", sim["s_elapsed"], positive=True,
                     allow_none=True)
     _require_number("sim", "detector_x", sim["detector_x"], allow_none=True)
-    for key in _GRID_DEFAULTS:
-        v = grid[key]
-        if v is not None and (isinstance(v, bool) or not isinstance(v, int)
-                              or not 2 <= v <= MAX_AXIS_SAMPLES):
-            raise ConfigError(f"grid.{key} must be an integer in "
-                              f"[2, {MAX_AXIS_SAMPLES}] or null")
     tf = analysis["threshold_fraction"]
     _require_number("analysis", "threshold_fraction", tf)
     if not 0.0 < tf < 1.0:
         raise ConfigError("analysis.threshold_fraction must be in (0, 1)")
 
     return Scenario(theory=theory, engine=engine, setup=setup, packet=packet,
-                    sim=sim, grid=grid, analysis=analysis)
+                    sim=sim, analysis=analysis)
 
 
 def parse_scenario(path) -> Scenario:

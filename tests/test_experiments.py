@@ -7,20 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from timefringe.errors import (DomainError, NoFringes, OverlapWarning,
-                               ResolutionError)
+from timefringe.errors import DomainError, NoFringes, OverlapWarning
 from timefringe.experiments import (DESK_SCALE, MIN_INTERFERENCE_VISIBILITY,
                                     IntensityTrace, TwoGateConfig,
                                     _refine_peak, build_packet,
                                     extract_fringes, outcome_fringes,
                                     two_gate_run, visibility_scan)
 from timefringe.numerics import simpson_weights
-from timefringe.propagation import (CLOSED_FORM, FLOQUET, MAX_AXIS_SAMPLES,
-                                    QUADRATURE, SAMPLES_PER_FEATURE,
-                                    SCHRODINGER, STUECKELBERG,
-                                    auto_output_grid, gate_component,
-                                    propagate_component, propagate_floquet,
-                                    propagate_stueckelberg)
+from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
+                                    SAMPLES_PER_FEATURE, SCHRODINGER,
+                                    STUECKELBERG, auto_output_grid,
+                                    gate_component, propagate_component,
+                                    propagate_floquet, propagate_stueckelberg)
 
 
 class TestTwoGateConfig:
@@ -110,8 +108,7 @@ class TestTwoGateRun:
     def test_control_trace_is_smooth(self):
         # the mixed-state trace is a sum of two broad arrival envelopes and
         # carries no oscillation: at most two interior local maxima
-        cfg = replace(DESK_SCALE, n_t=801)
-        trace = two_gate_run(SCHRODINGER, cfg).trace
+        trace = two_gate_run(SCHRODINGER).trace
         y = trace.intensity
         interior = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])
         significant = y[1:-1] >= 0.1 * np.max(y)
@@ -128,17 +125,6 @@ class TestTwoGateRun:
                                       back.trace.intensity)
         y = far.trace.intensity
         assert 0 < int(np.argmax(y)) < len(y) - 1  # the peak is inside
-
-    @pytest.mark.parametrize("change,need", [
-        ({"momentum": 1e3}, 54371),      # 0.30 samples per arrival sigma
-        ({"gate_spacing": 1e4}, 8469)])  # 1.9
-    def test_unresolved_arrival_raises_with_required_n_t(self, change, need):
-        cfg = replace(DESK_SCALE, n_t=2049, **change)
-        with pytest.raises(ResolutionError) as err:
-            two_gate_run(SCHRODINGER, cfg)
-        assert err.value.required_n_t == need
-        trace = two_gate_run(SCHRODINGER, replace(cfg, n_t=need)).trace
-        assert np.max(trace.intensity) > 0
 
     @pytest.mark.parametrize("change", [{"momentum": 1e3},
                                         {"gate_spacing": 1e4}])
@@ -185,40 +171,19 @@ class TestTwoGateRun:
                                    incoherent, rtol=0,
                                    atol=1e-12 * np.max(incoherent))
 
-    def test_unresolved_fringes_raise_with_required_n_t(self):
-        cfg = replace(DESK_SCALE, gate_spacing=96.0, n_t=2048)
-        with pytest.raises(ResolutionError) as err:
-            two_gate_run(STUECKELBERG, cfg)
-        cfg = replace(cfg, n_t=err.value.required_n_t)
-        outcome = two_gate_run(STUECKELBERG, cfg)
-        dt = outcome.trace.times[1] - outcome.trace.times[0]
-        assert cfg.predicted_spacing() / dt >= 8.0
-
-    @pytest.mark.parametrize("flight,need", [(1e-3, 50719), (1e-5, None)])
-    def test_unresolved_fringe_advice(self, flight, need):
-        # at L = 1e-5 it would take n_t = 5071425, past the ceiling that
-        # grid.n_t is checked against, so the error names the ceiling
-        advice = (f"need n_t >= {need}" if need
-                  else f"needs more than the ceiling of {MAX_AXIS_SAMPLES}")
-        cfg = replace(DESK_SCALE, flight_distance=flight, n_t=2048)
-        with pytest.raises(ResolutionError, match=advice) as err:
-            two_gate_run(STUECKELBERG, cfg)
-        assert err.value.required_n_t == need
-
     def test_wide_spacing_quadrature_memory(self):
         # at eps = 192 the joint input time range of the two gates takes
-        # 56907 quadrature nodes; a dense n_t x n_in kernel would need GiB
+        # 56907 quadrature nodes and the automatic output axis 16115
+        # samples; a dense n_t x n_in kernel would need GiB
         cfg = replace(DESK_SCALE, gate_spacing=192.0, flight_distance=1.5,
-                      engine=QUADRATURE, n_t=2048)
-        with pytest.raises(ResolutionError) as err:
-            two_gate_run(STUECKELBERG, cfg)
-        cfg = replace(cfg, n_t=err.value.required_n_t)
+                      engine=QUADRATURE)
         tracemalloc.start()
         try:
             outcome = two_gate_run(STUECKELBERG, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(outcome.trace.times) == 16115
         assert peak < 64e6
         exact = two_gate_run(STUECKELBERG, replace(cfg, engine=CLOSED_FORM))
         np.testing.assert_allclose(outcome.trace.intensity,
@@ -230,8 +195,8 @@ class TestTwoGateRun:
     def test_automatic_grid_resolves_the_exact_fringe(self, eps, flight):
         # SAMPLES_PER_FEATURE samples over the span per period of the cross
         # term, whose phase Im(b_1 - b_2) t is exactly linear; the law's
-        # period is within 0.2 % of it here, so the given-n_t guard of 8
-        # samples per fringe would pass too
+        # period is within 0.2 % of it here, so the grid gives the law's
+        # period nearly 12 samples too
         cfg = replace(DESK_SCALE, gate_spacing=eps, flight_distance=flight)
         packet = build_packet(cfg)
         b1, b2 = (propagate_component(gate_component(g, packet.mean_energy_E0),
@@ -256,22 +221,6 @@ class TestTwoGateRun:
         assert outcome.interference_visibility < MIN_INTERFERENCE_VISIBILITY
         with pytest.raises(NoFringes, match="below the floor"):
             outcome_fringes(outcome)
-
-    @pytest.mark.parametrize("theory", [SCHRODINGER, FLOQUET, STUECKELBERG])
-    @pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
-    @pytest.mark.parametrize("change", [{}, {"gate_spacing": 48.0},
-                                        {"flight_distance": 3.5}])
-    def test_trace_equals_explicit_n_t_run(self, theory, engine, change):
-        # the t range does not depend on n_t, so the automatic count given
-        # as grid.n_t reproduces the trace bit for bit
-        cfg = replace(DESK_SCALE, engine=engine, **change)
-        auto = two_gate_run(theory, cfg)
-        given = two_gate_run(theory, replace(cfg, n_t=len(auto.trace.times)))
-        for a, b in ((auto.trace, given.trace),
-                     (auto.incoherent_trace, given.incoherent_trace)):
-            np.testing.assert_array_equal(a.times, b.times)
-            np.testing.assert_array_equal(a.intensity, b.intensity)
-        assert auto.interference_visibility == given.interference_visibility
 
     def test_deterministic(self):
         a = two_gate_run(STUECKELBERG)

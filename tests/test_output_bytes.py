@@ -233,6 +233,23 @@ def test_oversized_cell_is_config_error(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("name,message", [
+    ("header_only", "has no data rows"),
+    ("header_no_newline", "has no data rows"),
+    ("blank_only_body", "line 2: expected two numbers")])
+def test_trace_without_data_rows_is_config_error(tmp_path, capsys, name,
+                                                 message):
+    # the reader returns empty arrays for a header alone, and names the
+    # blank row; fringes refuses both before it makes --out
+    path = tmp_path / "trace.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(dict(PARSE_CASES)[name])
+    out = tmp_path / "out"
+    assert cli.main(["fringes", "--trace", str(path), "--out", str(out)]) == 2
+    assert f"config error: trace CSV {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_written_trace_reads_back_bit_for_bit(tmp_path, trace):
     cli._write_trace_csv(tmp_path / "trace.csv", trace)
     times, intensity = cli._read_trace_csv(tmp_path / "trace.csv")

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import threading
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -56,11 +57,14 @@ class TestScenarioSchema:
         assert sc.theory == "stueckelberg"
 
     def test_unknown_key_suggests_nearest(self):
-        with pytest.raises(ConfigError, match="gate_spacing"):
-            scenario_from_dict({"packet": {"gate_spcing": 24.0}})
+        for raw, hint in [({"packet": {"gate_spcing": 24.0}}, "gate_spacing"),
+                          ({"packet": {"momentun": 0.2}}, "momentum")]:
+            with pytest.raises(ConfigError, match=f"did you mean {hint!r}"):
+                scenario_from_dict(raw)
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
+        with pytest.raises(ConfigError,
+                           match="unknown key 'theroy'; did you mean 'theory'"):
             scenario_from_dict({"theroy": "floquet"})
 
     def test_bad_values_name_the_field(self):
@@ -70,8 +74,6 @@ class TestScenarioSchema:
             scenario_from_dict({"setup": {"photon_count": 1.5}})
         with pytest.raises(ConfigError, match="threshold_fraction"):
             scenario_from_dict({"analysis": {"threshold_fraction": 0.0}})
-        with pytest.raises(ConfigError, match="grid.n_t"):
-            scenario_from_dict({"grid": {"n_t": 1}})
         with pytest.raises(ConfigError, match="theory"):
             scenario_from_dict({"theory": "bohmian"})
 
@@ -100,12 +102,15 @@ class TestScenarioSchema:
         assert_config_error(tmp_path, capsys, command, section, key, value)
 
     def test_removed_scales_block_is_rejected(self, tmp_path, capsys):
-        # so are the setup keys that no computation read, and grid.n_x,
-        # which no scenario needed: the x axis sizes itself
+        # so are the setup keys that no computation read, and the grid
+        # block in any form, which no scenario needed: every axis sizes
+        # itself. A deleted key has no successor, so no live key is
+        # suggested for it
         for raw, key in [
                 ({"scales": {"length_scale": 1.0, "time_scale": 1.0,
                              "mass_scale": 1.0}}, "scales"),
-                ({"grid": {"n_x": 2048}}, "grid.n_x"),
+                ({"grid": {"n_x": 2048}}, "grid"),
+                ({"grid": {"n_t": 2048}}, "grid"),
                 ({"setup": {"gate_spacing_s": 2.8e-15}},
                  "setup.gate_spacing_s"),
                 ({"setup": {"gate_width_s": 2.5e-16}}, "setup.gate_width_s")]:
@@ -116,20 +121,15 @@ class TestScenarioSchema:
             for command in ("simulate", "estimate"):
                 assert main([command, "--scenario", str(sc),
                              "--out", str(tmp_path / "out")]) == 2
-                assert key in capsys.readouterr().err
+                err = capsys.readouterr().err
+                assert f"unknown key {key!r}" in err
+                assert "did you mean" not in err
 
     def test_integer_past_parser_digit_limit_is_config_error(self, tmp_path):
         sc = tmp_path / "sc.json"
         sc.write_text('{"sim": {"flight_distance": 1' + "0" * 5000 + "}}")
         assert main(["simulate", "--scenario", str(sc),
                      "--out", str(tmp_path / "out")]) == 2
-
-    def test_grid_size_ceiling(self, tmp_path, capsys):
-        sc = scenario_from_dict({"grid": {"n_t": MAX_AXIS_SAMPLES}})
-        assert sc.grid["n_t"] == MAX_AXIS_SAMPLES
-        for value in (MAX_AXIS_SAMPLES + 1, 10**30):
-            assert_config_error(tmp_path, capsys, "simulate", "grid", "n_t",
-                                value)
 
     def test_parse_scenario_io(self, tmp_path):
         with pytest.raises(IoError):
@@ -138,6 +138,54 @@ class TestScenarioSchema:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             parse_scenario(bad)
+
+
+# a valid value other than the default for every key of each section that
+# feeds a config; the sections must hold exactly these keys
+_WIRING = {
+    "setup": {"wavelength_nm": 900.0, "photon_count": 301,
+              "flight_distance_m": 0.02, "momentum_model": "relativistic"},
+    "packet": {"spatial_width": 6.0, "spatial_center": 1.0, "momentum": 0.3,
+               "carrier_energy": 1.5, "gate_width": 0.6, "gate_spacing": 24.0,
+               "gate_profile": "rectangular"},
+    "sim": {"flight_distance": 3.0, "s_elapsed": 20.0, "detector_x": 2.5},
+}
+
+
+class TestScenarioWiring:
+    """Every scenario key feeds the config built from its section, and
+    every config field is fed: a key or a field that outlives what it fed
+    fails here."""
+
+    def test_wiring_table_covers_every_key(self):
+        defaults = Scenario().to_dict()
+        for section, values in _WIRING.items():
+            assert set(values) == set(defaults[section])
+            for key, value in values.items():
+                assert value != defaults[section][key]
+
+    @pytest.mark.parametrize("key", sorted(_WIRING["setup"]))
+    def test_every_setup_key_changes_the_physical_setup(self, key):
+        sc = scenario_from_dict({"setup": {key: _WIRING["setup"][key]}})
+        assert sc.physical_setup() != Scenario().physical_setup()
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section in ("packet", "sim")
+        for key in sorted(_WIRING[section])])
+    def test_every_packet_and_sim_key_changes_the_config(self, section, key):
+        sc = scenario_from_dict({section: {key: _WIRING[section][key]}})
+        assert sc.two_gate_config() != Scenario().two_gate_config()
+
+    def test_every_config_field_is_reached(self):
+        base = Scenario().two_gate_config()
+        changed = [scenario_from_dict({"engine": "quadrature"})]
+        changed += [scenario_from_dict({section: {key: value}})
+                    for section in ("packet", "sim")
+                    for key, value in _WIRING[section].items()]
+        reached = {f.name for sc in changed for f in fields(base)
+                   if getattr(sc.two_gate_config(), f.name)
+                   != getattr(base, f.name)}
+        assert reached == {f.name for f in fields(base)}
 
 
 _FIELDS = ([(None, key) for key in Scenario().to_dict()]
@@ -278,20 +326,6 @@ class TestCliSimulate:
         code = main(["simulate", "--scenario", str(sc),
                      "--out", str(tmp_path / "out")])
         assert code == 4
-
-    @pytest.mark.parametrize("eps,code", [(96.0, 3), (48.0, 0)])
-    def test_unresolved_fringes_are_resolution_error(self, tmp_path, capsys,
-                                                     eps, code):
-        # at L = 2, n_t = 2048 gives 4.8 samples per predicted fringe at
-        # eps = 96 and 11.6 at eps = 48
-        sc = tmp_path / "sc.json"
-        sc.write_text(json.dumps({"packet": {"gate_spacing": eps},
-                                  "sim": {"flight_distance": 2.0},
-                                  "grid": {"n_t": 2048}}))
-        assert main(["simulate", "--scenario", str(sc),
-                     "--out", str(tmp_path / "out")]) == code
-        if code == 3:
-            assert "need n_t >= " in capsys.readouterr().err
 
     def test_below_visibility_floor_is_domain_error(self, tmp_path, capsys):
         # at eps = 96, L = 2 the automatic grid resolves the fringes, but
@@ -576,6 +610,18 @@ class TestCliFringes:
         assert main(["fringes", "--trace", str(trace),
                      "--out", str(tmp_path / "out")]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "-1", "nan"])
+    def test_threshold_outside_unit_interval_is_config_error(
+            self, tmp_path, capsys, value):
+        # as analysis.threshold_fraction is; no output directory is made
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,intensity\n0.0,1.0\n0.5,2.0\n1.0,1.0\n")
+        out = tmp_path / "out"
+        assert main(["fringes", "--trace", str(trace), "--threshold", value,
+                     "--out", str(out)]) == 2
+        assert "--threshold must be in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_trace_is_io_error(self, tmp_path):
         assert main(["fringes", "--trace", str(tmp_path / "nope.csv"),
