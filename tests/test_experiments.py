@@ -14,11 +14,13 @@ from timefringe.experiments import (DESK_SCALE, MIN_INTERFERENCE_VISIBILITY,
                                     extract_fringes, outcome_fringes,
                                     two_gate_run, visibility_scan)
 from timefringe.numerics import simpson_weights
+from timefringe.packets import Grid2D
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
                                     SAMPLES_PER_FEATURE, SCHRODINGER,
                                     STUECKELBERG, auto_output_grid,
                                     gate_component, propagate_component,
-                                    propagate_floquet, propagate_stueckelberg)
+                                    propagate_floquet, propagate_spacetime,
+                                    propagate_stueckelberg, spatial_component)
 
 
 class TestTwoGateConfig:
@@ -221,6 +223,51 @@ class TestTwoGateRun:
         assert outcome.interference_visibility < MIN_INTERFERENCE_VISIBILITY
         with pytest.raises(NoFringes, match="below the floor"):
             outcome_fringes(outcome)
+
+    @pytest.mark.parametrize("theory", [SCHRODINGER, FLOQUET, STUECKELBERG])
+    @pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
+    @pytest.mark.parametrize("change", [{}, {"gate_spacing": 48.0},
+                                        {"flight_distance": 3.5}])
+    def test_trace_equals_explicit_n_t_run(self, theory, engine, change):
+        # the automatic time axis is an ordinary grid: its span and sample
+        # count, given explicitly as a Grid2D, reproduce the trace bit for
+        # bit; the control's trace is each gate's pulse, carrying half the
+        # photon, evaluated at those times
+        cfg = replace(DESK_SCALE, engine=engine, **change)
+        auto = two_gate_run(theory, cfg)
+        times = auto.trace.times
+        packet = build_packet(cfg)
+        if theory == SCHRODINGER:
+            comp0 = spatial_component(replace(packet.spatial, center_x=0.0))
+            distance = cfg.detector - cfg.spatial_center
+            pulses = []
+            for g in packet.gates:
+                elapsed = times - g.center_t
+                later = elapsed > 0
+                pulse = np.zeros(len(times))
+                pulse[later] = 0.5 * np.abs(propagate_component(
+                    comp0, 1.0, elapsed[later])(distance)) ** 2
+                pulses.append(pulse)
+            coherent = incoherent = pulses[0] + pulses[1]
+            np.testing.assert_allclose(auto.trace.intensity, coherent,
+                                       rtol=0, atol=1e-12 * np.max(coherent))
+            np.testing.assert_array_equal(auto.incoherent_trace.intensity,
+                                          auto.trace.intensity)
+            assert auto.interference_visibility == 0.0
+            return
+        x = auto_output_grid(packet, theory, cfg.s_star)
+        grid = Grid2D(x.x_min, x.x_max, x.n_x, times[0], times[-1],
+                      len(times))
+        result = propagate_spacetime(packet, theory, cfg.s_star, engine,
+                                     grid=grid)
+        ix = int(np.argmin(np.abs(grid.x - cfg.detector)))
+        x_d = result.spatial[ix]
+        coherent = np.abs(x_d * sum(result.temporal)) ** 2
+        incoherent = sum(np.abs(x_d * tk) ** 2 for tk in result.temporal)
+        np.testing.assert_array_equal(grid.t, times)
+        np.testing.assert_array_equal(auto.trace.intensity, coherent)
+        np.testing.assert_array_equal(auto.incoherent_trace.intensity,
+                                      incoherent)
 
     def test_deterministic(self):
         a = two_gate_run(STUECKELBERG)
