@@ -42,8 +42,10 @@ _SCAN_HEADERS = {"gate_spacing": "gate_spacing epsilon (internal time)",
                  "flight_distance": "flight_distance L (internal length)"}
 
 
-def _scenario_hash(scenario: Scenario) -> str:
-    return hashlib.sha256(scenario.to_json().encode()).hexdigest()[:16]
+def _scenario_hash(echo: dict) -> str:
+    """The hash of a scenario echo, Scenario.to_dict(): that of to_json()."""
+    return hashlib.sha256(json.dumps(echo, indent=2, sort_keys=True)
+                          .encode()).hexdigest()[:16]
 
 
 def _load_scenario(args) -> Scenario:
@@ -105,10 +107,11 @@ def cmd_estimate(args) -> int:
         w.writerow(["quantity (units in name)", "value"])
         for name, value in rows:
             w.writerow([name, _G(value)])
+    echo = scenario.to_dict()
     _write_report(out, {
         "command": "estimate",
-        "scenario": scenario.to_dict(),
-        "scenario_hash": _scenario_hash(scenario),
+        "scenario": echo,
+        "scenario_hash": _scenario_hash(echo),
         "crude": report_to_dict(crude),
         "covariant": report_to_dict(covariant),
         "ratio": result["ratio"],
@@ -139,7 +142,8 @@ def cmd_simulate(args) -> int:
 
     out = _out_dir(args)
     _write_trace_csv(out / "trace.csv", outcome.trace)
-    shash = _scenario_hash(scenario)
+    echo = scenario.to_dict()
+    shash = _scenario_hash(echo)
     line_chart(out / "trace.svg", outcome.trace.times,
                outcome.trace.intensity,
                peaks=fringes.peak_times if fringes else None,
@@ -150,11 +154,12 @@ def cmd_simulate(args) -> int:
     dt = (times[-1] - times[0]) / (len(times) - 1)
     report = {
         "command": "simulate",
-        "scenario": scenario.to_dict(),
+        "scenario": echo,
         "scenario_hash": shash,
         "theory": scenario.theory,
         "engine": scenario.engine,
         "s_elapsed": outcome.s_elapsed,
+        "detector_x": outcome.trace.detector_x,
         "interference_visibility": outcome.interference_visibility,
         "norm_drift": outcome.norm_drift,
         "predicted_spacing_T": outcome.predicted_spacing,
@@ -210,10 +215,11 @@ def cmd_scan(args) -> int:
             w.writerow([_G(row.value), _G(row.visibility),
                         "" if row.spacing_T is None else _G(row.spacing_T),
                         row.error or ""])
+    echo = scenario.to_dict()
     _write_report(out, {
         "command": "scan",
-        "scenario": scenario.to_dict(),
-        "scenario_hash": _scenario_hash(scenario),
+        "scenario": echo,
+        "scenario_hash": _scenario_hash(echo),
         "param": args.param,
         "values": values,
         "rows": [{"param": r.value, "visibility": r.visibility,

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -24,11 +26,12 @@ from .errors import DomainError, NoFringes, OverlapWarning
 from .packets import (GAUSSIAN, GATE_PROFILES, GaussianSpatialPacket,
                       SpacetimePacket, TimeGate)
 from .propagation import (CLOSED_FORM, ENGINES, SCHRODINGER, STUECKELBERG,
-                          THEORIES, auto_output_grid, propagate_component,
-                          propagate_spacetime, spatial_component,
-                          time_samples)
-# perfbench/tracing.py wraps these two by name in this module.
-from .propagation import propagate_floquet, propagate_stueckelberg  # noqa
+                          THEORIES, propagate_component, read_detector,
+                          spatial_component, time_samples)
+# perfbench/tracing.py wraps these by name in this module; two_gate_run
+# calls none of them.
+from .propagation import (auto_output_grid, propagate_floquet,  # noqa
+                          propagate_stueckelberg)
 
 # below this covariant interference visibility the peaks of a trace may be
 # the two gate envelopes, not fringes: at L = 1.5, eps = 72 (V = 0.0063)
@@ -103,14 +106,16 @@ DESK_SCALE = TwoGateConfig()
 
 def _spatial_packet(cfg: TwoGateConfig) -> GaussianSpatialPacket:
     """The spatial Gaussian, whose coefficients 1/2w^2, x0/w^2, its square
-    and x0^2/2w^2 must lie inside the float range."""
+    and x0^2/2w^2, and its normalization pi w^2, must lie inside the float
+    range."""
     w, x0 = cfg.spatial_width, cfg.spatial_center
     w2 = w * w
-    if not (0.0 < w2 < math.inf and 0.5 / w2 < math.inf
+    if not (0.0 < w2 and math.pi * w2 < math.inf and 0.5 / w2 < math.inf
             and x0 * x0 / w2 < math.inf
             and (x0 / w2) * (x0 / w2) < math.inf):
         raise DomainError(f"spatial_width = {w:g}, spatial_center = {x0:g}: "
-                          "the Gaussian's coefficients leave the float range")
+                          "the Gaussian's coefficients or its normalization "
+                          "leave the float range")
     return GaussianSpatialPacket(center_x=x0, width_sigma_x=w,
                                  mean_momentum_p0=cfg.momentum)
 
@@ -162,9 +167,16 @@ class TwoGateOutcome:
     trace: IntensityTrace
     incoherent_trace: IntensityTrace
     interference_visibility: float
-    norm_drift: float
     s_elapsed: float
     predicted_spacing: float | None
+    drift: Callable[[], float] = field(default=lambda: 0.0, repr=False,
+                                       compare=False)
+
+    @cached_property
+    def norm_drift(self) -> float:
+        """Relative change of the field's norm^2, computed when first read:
+        a scan row never reads it."""
+        return self.drift()
 
 
 def _schrodinger_control_traces(cfg: TwoGateConfig):
@@ -219,46 +231,30 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
     if theory == SCHRODINGER:
         trace, inc = _schrodinger_control_traces(cfg)
         return TwoGateOutcome(trace=trace, incoherent_trace=inc,
-                              interference_visibility=0.0, norm_drift=0.0,
-                              s_elapsed=s, predicted_spacing=None)
+                              interference_visibility=0.0, s_elapsed=s,
+                              predicted_spacing=None)
 
     packet = build_packet(cfg)
-    grid = auto_output_grid(packet, theory, s)
-    if not grid.x_min <= cfg.detector <= grid.x_max:
-        raise DomainError(
-            f"detector_x = {cfg.detector:g} lies outside the x grid "
-            f"[{grid.x_min:g}, {grid.x_max:g}]")
     predicted = (cfg.predicted_spacing() if theory == STUECKELBERG
                  and cfg.gate_spacing > 0 else None)
-    result = propagate_spacetime(packet, theory, s, cfg.engine, grid=grid)
     # the field is X(x) sum_k T_k(t); the incoherent reference drops the
     # cross terms between gates
-    ix = int(np.argmin(np.abs(grid.x - cfg.detector)))
-    x_d = result.spatial[ix]
-    intensity = np.abs(x_d * sum(result.temporal)) ** 2
-    inc_intensity = sum(np.abs(x_d * tk) ** 2 for tk in result.temporal)
+    x_d, times, temporal, drift = read_detector(packet, theory, s,
+                                                cfg.engine, cfg.detector)
+    intensity = np.abs(x_d * sum(temporal)) ** 2
+    inc_intensity = sum(np.abs(x_d * tk) ** 2 for tk in temporal)
 
     peak_inc = float(np.max(inc_intensity))
     cross = float(np.max(np.abs(intensity - inc_intensity)))
     visibility = cross / peak_inc if peak_inc > 0 else 0.0
 
-    times = grid.t
     trace = IntensityTrace(times=times, intensity=intensity,
-                           detector_x=float(grid.x[ix]), theory=theory)
+                           detector_x=cfg.detector, theory=theory)
     inc_trace = IntensityTrace(times=times, intensity=inc_intensity,
-                               detector_x=float(grid.x[ix]), theory=theory)
+                               detector_x=cfg.detector, theory=theory)
     return TwoGateOutcome(trace=trace, incoherent_trace=inc_trace,
-                          interference_visibility=visibility,
-                          norm_drift=result.norm_drift, s_elapsed=s,
-                          predicted_spacing=predicted)
-
-
-def _refine_peak(times, intensity, i: int) -> float:
-    denom = intensity[i - 1] - 2.0 * intensity[i] + intensity[i + 1]
-    if denom >= 0:
-        return float(times[i])
-    shift = 0.5 * (intensity[i - 1] - intensity[i + 1]) / denom
-    return float(times[i] + shift * (times[i + 1] - times[i]))
+                          interference_visibility=visibility, s_elapsed=s,
+                          predicted_spacing=predicted, drift=drift)
 
 
 def extract_fringes(trace: IntensityTrace, threshold_fraction: float = 0.1,
@@ -288,7 +284,13 @@ def extract_fringes(trace: IntensityTrace, threshold_fraction: float = 0.1,
     mid = y[a:b + 1]
     # leftmost sample of a plateau counts as the peak
     hit = (mid > y[a - 1:b]) & (mid >= y[a + 1:b + 2]) & (mid >= threshold)
-    peaks = [_refine_peak(t, y, i) for i in (np.flatnonzero(hit) + a).tolist()]
+    i = np.flatnonzero(hit) + a
+    # the vertex of the parabola through the three samples, or the sample
+    # time where they do not curve down
+    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+    down = denom < 0
+    shift = 0.5 * (y[i - 1] - y[i + 1]) / np.where(down, denom, -1.0)
+    peaks = np.where(down, t[i] + shift * (t[i + 1] - t[i]), t[i]).tolist()
     if len(peaks) < 2:
         raise NoFringes(f"found {len(peaks)} peak(s); need at least 2")
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .numerics import simpson_weights
 from .packets import (GAUSSIAN, GaussianSpatialPacket, Grid1D, Grid2D,
-                      SpacetimePacket)
+                      SpacetimePacket, _axis)
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -214,15 +214,17 @@ def time_samples(span: float, feature: float, what: str) -> int:
     return n
 
 
-def _closed_form_axis(comps: list, out: np.ndarray, mu: float, s: float):
-    """Propagate the Gaussian components of one axis in closed form: their
-    values on out and the exact norm^2 of their sum before and after.
+def _closed_form_axis(comps: list, moved: list, out, lo: float,
+                      hi: float) -> tuple:
+    """The values on out, points of [lo, hi], of the Gaussian components
+    comps already propagated in closed form to moved, and a function
+    returning the exact norm^2 of their sum before and after.
 
     Each value is exp(logamp - a u^2 + b u), whose terms can be far larger
-    than their sum. It raises where their rounding leaves the modulus or,
-    for more than one component, the relative phases unreliable."""
-    moved = [propagate_component(cp, mu, s) for cp in comps]
-    u = max(abs(out[0]), abs(out[-1]))
+    than their sum. It raises where their rounding on [lo, hi] leaves the
+    modulus or, for more than one component, the relative phases
+    unreliable."""
+    u = max(abs(lo), abs(hi))
     mag = np.abs if len(moved) > 1 else (lambda z: np.abs(np.real(z)))
     size = max(mag(m.logamp) + mag(m.a) * u * u + mag(m.b) * u
                for m in moved)
@@ -230,19 +232,20 @@ def _closed_form_axis(comps: list, out: np.ndarray, mu: float, s: float):
         raise DomainError(
             f"closed-form exponent terms reach {size:.3g} on the grid up to "
             f"|u| = {u:.3g}: their rounding passes {MAX_EXPONENT_ROUNDING}")
-    before, after = (float(sum(component_overlap(f, g)
-                               for f in cs for g in cs).real)
-                     for cs in (comps, moved))
-    return [m(out) for m in moved], before, after
+    return [m(out) for m in moved], lambda: tuple(
+        float(sum(component_overlap(f, g) for f in cs for g in cs).real)
+        for cs in (comps, moved))
 
 
 def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
-                     n_in: int, mu: float, s: float, k0: float, axis: str):
+                     n_in: int, mu: float, s: float, k0: float, axis: str,
+                     at: float | None = None):
     """Propagate the functions sources(u) of one axis by Simpson quadrature
     over at least n_in samples u of [lo, hi], as many as resolve the kernel
     chirp (up to MAX_AXIS_SAMPLES): their values on the uniform grid out and
     the grid norm^2 of their sum before and after. k0 is the largest
-    wavenumber of the input functions.
+    wavenumber of the input functions. Given a point at of out's range, the
+    values are the same Simpson sums at that one point instead.
 
     The Simpson sum sum_j K(out_i - u_j) w_j v_j is evaluated as a chirp-z
     (Bluestein) transform: with out_i = out_0 + i dx, u_j = lo + j h and
@@ -282,21 +285,27 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
                 * np.fft.fft(np.asarray(values_in) * post, n_fft))
     values = list(np.fft.ifft(spectrum)[:, n_in - 1:n_in - 1 + n_out] * pre)
     w_out = simpson_weights(n_out, out[1] - out[0])
-    return (values, float(w_in @ np.abs(sum(values_in)) ** 2),
-            float(w_out @ np.abs(sum(values)) ** 2))
+    after = float(w_out @ np.abs(sum(values)) ** 2)
+    if at is not None:
+        values = [complex(axis_prefactor(mu, s)) * np.exp(
+            1j * beta * (at - u) ** 2) @ (w_in * v) for v in values_in]
+    return values, float(w_in @ np.abs(sum(values_in)) ** 2), after
 
 
 def _spatial_factor(spatial: GaussianSpatialPacket, x: np.ndarray, s: float,
-                    engine: str):
-    """X(x) after spreading with mass M for s, and its norm^2 before/after."""
+                    engine: str, at: float | None = None) -> tuple:
+    """X(x) after spreading with mass M for s, by quadrature X(at) instead
+    when at is given, and a function returning its norm^2 before and
+    after."""
     if engine == CLOSED_FORM:
-        (values,), before, after = _closed_form_axis(
-            [spatial_component(spatial)], x, 1.0, s)
-    else:
-        (values,), before, after = _quadrature_axis(
-            lambda u: [spatial.amplitude(u)], x, *_input_x(spatial), 513, 1.0,
-            s, abs(spatial.mean_momentum_p0), "x")
-    return values, before, after
+        comp = spatial_component(spatial)
+        (values,), norms = _closed_form_axis(
+            [comp], [propagate_component(comp, 1.0, s)], x, x[0], x[-1])
+        return values, norms
+    (values,), before, after = _quadrature_axis(
+        lambda u: [spatial.amplitude(u)], x, *_input_x(spatial), 513, 1.0, s,
+        abs(spatial.mean_momentum_p0), "x", at)
+    return values, lambda: (before, after)
 
 
 def _input_x(spatial: GaussianSpatialPacket) -> tuple:
@@ -350,45 +359,78 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
         n2 = float(simpson_weights(grid.n_x, grid.dx) @ np.abs(field) ** 2)
         return PropagationResult(spatial=field, grid=grid, norm_before=n2,
                                  norm_after=n2, engine=engine)
-    spatial, n_before, n_after = _spatial_factor(packet, grid.x, t_elapsed,
-                                                 engine)
+    spatial, norms = _spatial_factor(packet, grid.x, t_elapsed, engine)
+    n_before, n_after = norms()
     return PropagationResult(spatial=spatial, grid=grid, norm_before=n_before,
                              norm_after=n_after, engine=engine)
 
 
 # -------------------------------------------------------- Floquet/Stueckelberg
 
+def _time_axis(packet: SpacetimePacket, mu_t: float | None, s: float) -> tuple:
+    """(lo, hi, n) of the automatic time axis and the gate components spread
+    by s (none under the time shift). The axis samples the narrowest feature
+    of the temporal intensity. That is the gate width under the time shift.
+    Under covariant spreading it is the spread envelope's sigma or the fringe
+    period 2 pi / |Im(b_j - b_k)| of the cross terms, whichever is shorter;
+    the phase of T_j conj(T_k) is exactly linear in t for gates of one
+    width. The chirp common to all gates cancels in the intensity."""
+    if mu_t is None:
+        lo = min(g.center_t - 1.25 * OUTPUT_PAD_SIGMAS * g.width_delta_t
+                 for g in packet.gates) + s
+        hi = max(g.center_t + 1.25 * OUTPUT_PAD_SIGMAS * g.width_delta_t
+                 for g in packet.gates) + s
+        spread = []
+        n = time_samples(hi - lo, min(g.width_delta_t for g in packet.gates),
+                         "gates of width")
+    else:
+        spread = [propagate_component(gate_component(
+            g, packet.mean_energy_E0), mu_t, s) for g in packet.gates]
+        lo, hi = _padded_range(spread)
+        rates = [float(cp.b.imag) for cp in spread]
+        beat = max(rates) - min(rates)
+        period = 2.0 * math.pi / beat if beat else math.inf
+        n = time_samples(hi - lo,
+                         min(period, *(cp.intensity_sigma for cp in spread)),
+                         "intensity features of width")
+    if not lo < hi:
+        raise DomainError(f"the time axis [{lo:g}, {hi:g}] has no width in "
+                          "floating point")
+    return lo, hi, n, spread
+
+
 def auto_output_grid(packet: SpacetimePacket, theory: str,
                      s: float) -> Grid2D:
     """Grid covering the propagated envelope: x resolves its chirp, and t
-    the narrowest feature of the temporal intensity. That is the gate
-    width under the time shift. Under covariant spreading it is the spread
-    envelope's sigma or the fringe period 2 pi / |Im(b_j - b_k)| of the
-    cross terms, whichever is shorter; the phase of T_j conj(T_k) is
-    exactly linear in t for gates of one width. The chirp common to all
-    gates cancels in the intensity."""
+    the narrowest feature of the temporal intensity (_time_axis)."""
     mu_t = time_mass(theory)
     lo_x, hi_x, n_x = _output_x(packet.spatial, s)
-    if mu_t is None:
-        lo_t = min(g.center_t - 1.25 * OUTPUT_PAD_SIGMAS * g.width_delta_t
-                   for g in packet.gates) + s
-        hi_t = max(g.center_t + 1.25 * OUTPUT_PAD_SIGMAS * g.width_delta_t
-                   for g in packet.gates) + s
-        n_t = time_samples(hi_t - lo_t,
-                           min(g.width_delta_t for g in packet.gates),
-                           "gates of width")
-    else:
-        tcs = [propagate_component(gate_component(g, packet.mean_energy_E0),
-                                   mu_t, s)
-               for g in packet.gates]
-        lo_t, hi_t = _padded_range(tcs)
-        rates = [float(cp.b.imag) for cp in tcs]
-        beat = max(rates) - min(rates)
-        period = 2.0 * math.pi / beat if beat else math.inf
-        n_t = time_samples(hi_t - lo_t,
-                           min(period, *(cp.intensity_sigma for cp in tcs)),
-                           "intensity features of width")
+    lo_t, hi_t, n_t, _ = _time_axis(packet, mu_t, s)
     return Grid2D(lo_x, hi_x, n_x, lo_t, hi_t, n_t)
+
+
+def _temporal_factor(packet: SpacetimePacket, mu_t: float | None, s: float,
+                     engine: str, t: np.ndarray, spread: list = ()) -> tuple:
+    """The gate terms T_k on the time axis t after propagation by s, and a
+    function returning the norm^2 of their sum before and after. Each gate
+    is shifted rigidly by s (exact under either engine) or spread with mass
+    -M c^2; in closed form, spread may hold them already spread by s."""
+    if mu_t is None:
+        return (packet.gate_terms(t - s),
+                lambda: (packet.temporal_norm2(),) * 2)
+    if engine == CLOSED_FORM:
+        gates = [gate_component(g, packet.mean_energy_E0)
+                 for g in packet.gates]
+        spread = spread or [propagate_component(cp, mu_t, s) for cp in gates]
+        return _closed_form_axis(gates, spread, t, t[0], t[-1])
+    lo = min(g.center_t - INPUT_PAD_SIGMAS * g.width_delta_t
+             for g in packet.gates)
+    hi = max(g.center_t + INPUT_PAD_SIGMAS * g.width_delta_t
+             for g in packet.gates)
+    values, before, after = _quadrature_axis(
+        packet.gate_terms, t, lo, hi, 513, mu_t, s,
+        abs(packet.mean_energy_E0), "t")
+    return values, lambda: (before, after)
 
 
 def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
@@ -397,7 +439,7 @@ def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
     """Propagate a space-time packet by s under the time-shift (Floquet) or
     covariant (Stueckelberg) theory. The field stays rank-1: the spatial
     factor spreads with mass M under both, and each gate is either shifted
-    rigidly by s (exact under either engine) or spread with mass -M c^2."""
+    rigidly by s or spread with mass -M c^2."""
     if s <= 0:
         raise DomainError("s must be > 0")
     if engine not in ENGINES:
@@ -405,26 +447,46 @@ def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
     mu_t = time_mass(theory)
     if grid is None:
         grid = auto_output_grid(packet, theory, s)
-    spatial, nx_before, nx_after = _spatial_factor(packet.spatial, grid.x, s,
-                                                   engine)
-    if mu_t is None:
-        temporal = packet.gate_terms(grid.t - s)
-        nt_before = nt_after = packet.temporal_norm2()
-    elif engine == CLOSED_FORM:
-        temporal, nt_before, nt_after = _closed_form_axis(
-            [gate_component(g, packet.mean_energy_E0)
-             for g in packet.gates], grid.t, mu_t, s)
-    else:
-        lo_t = min(g.center_t - INPUT_PAD_SIGMAS * g.width_delta_t
-                   for g in packet.gates)
-        hi_t = max(g.center_t + INPUT_PAD_SIGMAS * g.width_delta_t
-                   for g in packet.gates)
-        temporal, nt_before, nt_after = _quadrature_axis(
-            packet.gate_terms, grid.t, lo_t, hi_t, 513, mu_t, s,
-            abs(packet.mean_energy_E0), "t")
+    spatial, x_norms = _spatial_factor(packet.spatial, grid.x, s, engine)
+    temporal, t_norms = _temporal_factor(packet, mu_t, s, engine, grid.t)
+    (nx_before, nx_after), (nt_before, nt_after) = x_norms(), t_norms()
     return PropagationResult(spatial=spatial, temporal=tuple(temporal),
                              grid=grid, norm_before=nx_before * nt_before,
                              norm_after=nx_after * nt_after, engine=engine)
+
+
+def read_detector(packet: SpacetimePacket, theory: str, s: float,
+                  engine: str, x_d: float) -> tuple:
+    """propagate_spacetime on the automatic grid, read at x = x_d: X(x_d),
+    the time axis, the T_k on it and a function returning the norm drift.
+    The closed form spreads each Gaussian once and builds no x axis; by
+    quadrature, X(x_d) is the Simpson kernel sum over the x grid's inputs."""
+    mu_t = time_mass(theory)
+    spatial = packet.spatial
+    if engine == CLOSED_FORM:
+        comp = spatial_component(spatial)
+        moved = propagate_component(comp, 1.0, s)
+        lo_x, hi_x = _padded_range([moved])
+    else:
+        lo_x, hi_x, n_x = _output_x(spatial, s)
+    lo_t, hi_t, n_t, spread = _time_axis(packet, mu_t, s)
+    if not lo_x <= x_d <= hi_x:
+        raise DomainError(f"detector_x = {x_d:g} lies outside the x range "
+                          f"[{lo_x:g}, {hi_x:g}] of the spread packet")
+    t = _axis(lo_t, hi_t, n_t)
+    if engine == CLOSED_FORM:
+        (x_value,), x_norms = _closed_form_axis([comp], [moved], x_d, lo_x,
+                                                hi_x)
+    else:
+        x_value, x_norms = _spatial_factor(spatial, _axis(lo_x, hi_x, n_x),
+                                           s, engine, at=x_d)
+    temporal, t_norms = _temporal_factor(packet, mu_t, s, engine, t, spread)
+
+    def drift() -> float:  # PropagationResult.norm_drift
+        (x_before, x_after), (t_before, t_after) = x_norms(), t_norms()
+        return (abs(x_after * t_after - x_before * t_before)
+                / (x_before * t_before))
+    return x_value, t, temporal, drift
 
 
 def propagate_floquet(packet: SpacetimePacket, delta_s: float,

@@ -7,10 +7,11 @@ The simulation itself runs in internal units (hbar = M = c = 1); the lab
 
 from __future__ import annotations
 
+import copy
 import difflib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, DomainError, IoError
@@ -57,7 +58,9 @@ class Scenario:
     analysis: dict = field(default_factory=lambda: dict(_ANALYSIS_DEFAULTS))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The scenario echo; each section is a shallow copy, because its
+        values are numbers, strings or None."""
+        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from timefringe.errors import DomainError, NoFringes, OverlapWarning
 from timefringe.experiments import (DESK_SCALE, MIN_INTERFERENCE_VISIBILITY,
                                     IntensityTrace, TwoGateConfig,
-                                    _refine_peak, build_packet,
+                                    build_packet,
                                     extract_fringes, outcome_fringes,
                                     two_gate_run, visibility_scan)
+from timefringe import packets, propagation
 from timefringe.numerics import simpson_weights
 from timefringe.packets import Grid2D
-from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
+from timefringe.propagation import (CLOSED_FORM, ENGINES, FLOQUET, QUADRATURE,
                                     SAMPLES_PER_FEATURE, SCHRODINGER,
-                                    STUECKELBERG, auto_output_grid,
+                                    STUECKELBERG, THEORIES, auto_output_grid,
                                     gate_component, propagate_component,
                                     propagate_floquet, propagate_spacetime,
                                     propagate_stueckelberg, spatial_component)
@@ -230,9 +231,11 @@ class TestTwoGateRun:
                                         {"flight_distance": 3.5}])
     def test_trace_equals_explicit_n_t_run(self, theory, engine, change):
         # the automatic time axis is an ordinary grid: its span and sample
-        # count, given explicitly as a Grid2D, reproduce the trace bit for
-        # bit; the control's trace is each gate's pulse, carrying half the
-        # photon, evaluated at those times
+        # count, given explicitly as a Grid2D, reproduce the trace, bit for
+        # bit in closed form, where the column sits on the detector; by
+        # quadrature the detector's Simpson sum and the grid's Bluestein
+        # column differ by rounding. The control's trace is each gate's
+        # pulse, carrying half the photon, evaluated at those times
         cfg = replace(DESK_SCALE, engine=engine, **change)
         auto = two_gate_run(theory, cfg)
         times = auto.trace.times
@@ -265,15 +268,110 @@ class TestTwoGateRun:
         coherent = np.abs(x_d * sum(result.temporal)) ** 2
         incoherent = sum(np.abs(x_d * tk) ** 2 for tk in result.temporal)
         np.testing.assert_array_equal(grid.t, times)
-        np.testing.assert_array_equal(auto.trace.intensity, coherent)
-        np.testing.assert_array_equal(auto.incoherent_trace.intensity,
-                                      incoherent)
+        assert grid.x[ix] == cfg.detector
+        rtol = 0 if engine == CLOSED_FORM else 1e-12
+        np.testing.assert_allclose(auto.trace.intensity, coherent, rtol=rtol,
+                                   atol=0)
+        np.testing.assert_allclose(auto.incoherent_trace.intensity,
+                                   incoherent, rtol=rtol, atol=0)
 
     def test_deterministic(self):
         a = two_gate_run(STUECKELBERG)
         b = two_gate_run(STUECKELBERG)
         np.testing.assert_array_equal(a.trace.intensity, b.trace.intensity)
         assert a.interference_visibility == b.interference_visibility
+
+
+class TestReadDetector:
+    @pytest.mark.parametrize("theory", [FLOQUET, STUECKELBERG])
+    @pytest.mark.parametrize("where", ["x=5", "x=L+0.37dx"])
+    def test_trace_is_read_at_the_detector(self, theory, where):
+        # off every node of the automatic x grid, whose nearest column the
+        # run used to read and report as detector_x
+        grid = auto_output_grid(build_packet(DESK_SCALE), theory,
+                                DESK_SCALE.s_star)
+        x_d = (5.0 if where == "x=5"
+               else DESK_SCALE.flight_distance + 0.37 * grid.dx)
+        assert np.min(np.abs(grid.x - x_d)) >= 0.3 * grid.dx
+        cfg = replace(DESK_SCALE, detector_x=x_d)
+        packet, s = build_packet(cfg), cfg.s_star
+        exact = two_gate_run(theory, cfg)
+        times = exact.trace.times
+        # the oracle |X(x_d)|^2 |sum_k T_k(t)|^2 of the rank-1 field
+        x_value = propagate_component(spatial_component(packet.spatial), 1.0,
+                                      s)(x_d)
+        if theory == FLOQUET:
+            gates = packet.gate_sum(times - s)
+        else:
+            gates = sum(propagate_component(
+                gate_component(g, packet.mean_energy_E0), -1.0, s)(times)
+                for g in packet.gates)
+        oracle = np.abs(x_value) ** 2 * np.abs(gates) ** 2
+        np.testing.assert_allclose(exact.trace.intensity, oracle, rtol=1e-12,
+                                   atol=0)
+        quad = two_gate_run(theory, replace(cfg, engine=QUADRATURE))
+        np.testing.assert_array_equal(quad.trace.times, times)
+        np.testing.assert_allclose(quad.trace.intensity, oracle, rtol=0,
+                                   atol=1e-6 * np.max(oracle))
+        for outcome in (exact, quad):
+            assert outcome.trace.detector_x == x_d
+            assert outcome.incoherent_trace.detector_x == x_d
+
+    @pytest.mark.parametrize("theory", [FLOQUET, STUECKELBERG])
+    @pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
+    def test_norm_drift_is_the_field_apis(self, theory, engine):
+        cfg = replace(DESK_SCALE, engine=engine)
+        outcome = two_gate_run(theory, cfg)
+        field = propagate_spacetime(build_packet(cfg), theory, cfg.s_star,
+                                    engine)
+        assert outcome.norm_drift == field.norm_drift
+
+
+class TestWorkCounts:
+    @staticmethod
+    def record(monkeypatch, module, name) -> list:
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("theory,spreads", [(STUECKELBERG, 3),
+                                                (FLOQUET, 1)])
+    def test_closed_form_run_spreads_once_and_builds_no_x_axis(
+            self, monkeypatch, theory, spreads):
+        # the spatial component and, under the covariant theory, each gate;
+        # the one axis built is the trace's time axis
+        spread = self.record(monkeypatch, propagation, "propagate_component")
+        axes = self.record(monkeypatch, propagation, "_axis")
+        grid_axes = self.record(monkeypatch, packets, "_axis")
+        times = two_gate_run(theory).trace.times
+        assert len(spread) == spreads
+        assert axes == [(times[0], times[-1], len(times))]
+        assert grid_axes == []
+
+    def test_scan_computes_no_norm(self, monkeypatch):
+        overlaps = self.record(monkeypatch, propagation, "component_overlap")
+        rows = visibility_scan(STUECKELBERG, DESK_SCALE, [12.0, 18.0])
+        assert all(row.error is None for row in rows)
+        assert overlaps == []
+
+    @pytest.mark.parametrize("theory,count", [(STUECKELBERG, 10),
+                                              (FLOQUET, 2)])
+    def test_norm_drift_is_computed_when_read(self, monkeypatch, theory,
+                                              count):
+        # x: one overlap before, one after; covariant t: 2 x 2 gate pairs
+        # before and after
+        overlaps = self.record(monkeypatch, propagation, "component_overlap")
+        outcome = two_gate_run(theory)
+        assert overlaps == []
+        drift = outcome.norm_drift
+        assert len(overlaps) == count
+        assert outcome.norm_drift == drift
+        assert len(overlaps) == count
 
 
 # Desk-scale traces: theory, engine, n_t, first and last time, intensity at
@@ -354,6 +452,17 @@ def planted_trace(period=0.5, n=4001, center=10.0, envelope_sigma=3.0):
                           detector_x=0.0, theory="synthetic")
 
 
+def refine_peak(times, intensity, i):
+    """The row-by-row peak refinement extract_fringes ran before its numpy
+    form: the vertex of the parabola through samples i - 1, i, i + 1, or the
+    sample time where they do not curve down."""
+    denom = intensity[i - 1] - 2.0 * intensity[i] + intensity[i + 1]
+    if denom >= 0:
+        return float(times[i])
+    shift = 0.5 * (intensity[i - 1] - intensity[i + 1]) / denom
+    return float(times[i] + shift * (times[i + 1] - times[i]))
+
+
 def reference_peak_times(trace, threshold_fraction):
     """The per-sample peak loop extract_fringes ran before its numpy form,
     behind the same guards, over the same central window."""
@@ -372,7 +481,7 @@ def reference_peak_times(trace, threshold_fraction):
     peaks = []
     for i in range(max(lo, 1), min(hi, len(y) - 2) + 1):
         if y[i] > y[i - 1] and y[i] >= y[i + 1] and y[i] >= threshold:
-            peaks.append(_refine_peak(t, y, i))
+            peaks.append(refine_peak(t, y, i))
     if len(peaks) < 2:
         raise NoFringes(f"found {len(peaks)} peak(s); need at least 2")
     return peaks
@@ -414,6 +523,31 @@ class TestExtractFringes:
         got = _peaks_or_reason(
             lambda tr, f: extract_fringes(tr, f).peak_times, trace, fraction)
         assert got == _peaks_or_reason(reference_peak_times, trace, fraction)
+
+    @pytest.mark.parametrize("theory", THEORIES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_desk_peaks_match_row_by_row_reference(self, theory, engine):
+        trace = two_gate_run(theory, replace(DESK_SCALE, engine=engine)).trace
+        got = extract_fringes(trace).peak_times
+        assert len(got) >= 2
+        assert got == reference_peak_times(trace, 0.1)
+
+    @pytest.mark.parametrize("bump,flat", [
+        # a plateau: its leftmost sample is the peak, and the parabola
+        # through 1, 3, 3 has its vertex half a step to the right
+        ([0.0, 1.0, 3.0, 3.0, 1.0, 0.0], 0),
+        # a flat top just below 1: the three samples 1 - 2^-53, 1, 1 give
+        # denom = (1 - 2^-53 - 2) + 1 = 0 after rounding, so each peak is
+        # its sample time
+        ([0.0, np.nextafter(1.0, 0.0), 1.0, 1.0, 0.0], 6),
+    ])
+    def test_flat_peaks_match_row_by_row_reference(self, bump, flat):
+        y = np.tile(bump, 6)
+        trace = IntensityTrace(times=0.5 * np.arange(len(y)), intensity=y,
+                               detector_x=0.0, theory="synthetic")
+        got = extract_fringes(trace).peak_times
+        assert got == reference_peak_times(trace, 0.1)
+        assert sum(p in trace.times for p in got) == flat
 
     def test_recovers_planted_period(self):
         trace = planted_trace(period=0.5)

@@ -50,6 +50,40 @@ class TestScenarioSchema:
         assert again == sc
         assert again.to_json() == sc.to_json()
 
+    def test_default_echo_and_hash_are_pinned(self, tmp_path):
+        # every report carries the scenario echo and its hash, which the
+        # trace figure carries too
+        echo = ('{"analysis": {"threshold_fraction": 0.1}, "engine": '
+                '"closed_form", "packet": {"carrier_energy": null, '
+                '"gate_profile": "gaussian", "gate_spacing": 12.0, '
+                '"gate_width": 0.5, "momentum": 0.2, "spatial_center": 0.0, '
+                '"spatial_width": 5.0}, "setup": {"flight_distance_m": 0.01, '
+                '"momentum_model": "nonrelativistic", "photon_count": 300, '
+                '"wavelength_nm": 850.0}, "sim": {"detector_x": null, '
+                '"flight_distance": 2.0, "s_elapsed": null}, "theory": '
+                '"stueckelberg"}')
+        assert json.dumps(Scenario().to_dict(), sort_keys=True) == echo
+        for argv in (["simulate"], ["estimate"],
+                     ["scan", "--param", "gate_spacing", "--values", "12,18"]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out", str(out)]) == 0
+            text = (out / "report.json").read_text()
+            report = json.loads(text)
+            assert report["scenario_hash"] == "5ecc5ebb19ba440b"
+            assert json.dumps(report["scenario"], sort_keys=True) == echo
+            # the echo is written as to_json() writes it, one level deeper
+            assert ('"scenario": ' + Scenario().to_json().replace("\n", "\n  ")
+                    in text)
+        assert ("scenario-sha256:5ecc5ebb19ba440b"
+                in (tmp_path / "simulate" / "trace.svg").read_text())
+
+    def test_echo_sections_are_copies(self):
+        sc = Scenario()
+        echo = sc.to_dict()
+        echo["packet"]["momentum"] = 1.0
+        assert sc.packet["momentum"] == 0.2
+        assert sc.to_dict()["packet"]["momentum"] == 0.2
+
     def test_partial_sections_filled_with_defaults(self):
         sc = scenario_from_dict({"packet": {"gate_spacing": 24.0}})
         assert sc.packet["gate_spacing"] == 24.0
@@ -297,6 +331,19 @@ class TestCliSimulate:
         assert len(rows) > 100
         assert rows[0][0].startswith("t ")
 
+    @pytest.mark.parametrize("theory", ["schrodinger_control", "floquet",
+                                        "stueckelberg"])
+    @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize("detector,read", [(None, 2.0), (5.0, 5.0)])
+    def test_report_names_the_point_read(self, tmp_path, theory, engine,
+                                         detector, read):
+        # None reads at the flight distance; 5.0 lies between x grid nodes
+        assert run_one_key(tmp_path, "simulate", "sim", "detector_x",
+                           detector, "--theory", theory,
+                           "--engine", engine) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["detector_x"] == read
+
     def test_overridden_s_sets_the_law(self, tmp_path):
         # s = 1000 moves the fringe period to 2 pi s / eps = 523.6, far from
         # the 5.24 that L = 2 and p = 0.2 would give
@@ -466,8 +513,8 @@ class TestCliSimulate:
 
     @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
     @pytest.mark.parametrize("section,key,value,code,named", [
-        # the chirp's sample count overflows a float
-        ("packet", "spatial_width", 1e154, 3, "leaves the float range"),
+        # the Gaussian's normalization pi w^2 overflows a float
+        ("packet", "spatial_width", 1e154, 4, "leave the float range"),
         # the kernel phase 1 / 2s, or its square, overflows a float
         ("sim", "s_elapsed", 5e-324, 4, "s = 4.94066e-324"),
         ("sim", "s_elapsed", 1e-300, 4, "s = 1e-300"),
