@@ -148,9 +148,9 @@ class IntensityTrace:
     def __post_init__(self):
         if len(self.times) != len(self.intensity):
             raise DomainError("times and intensity lengths differ")
-        if np.any(np.diff(self.times) <= 0):
+        if (self.times[1:] <= self.times[:-1]).any():
             raise DomainError("times must be strictly increasing")
-        if np.any(self.intensity < 0):
+        if (self.intensity < 0).any():
             raise DomainError("intensity must be non-negative")
 
 
@@ -244,8 +244,8 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
     intensity = np.abs(x_d * sum(temporal)) ** 2
     inc_intensity = sum(np.abs(x_d * tk) ** 2 for tk in temporal)
 
-    peak_inc = float(np.max(inc_intensity))
-    cross = float(np.max(np.abs(intensity - inc_intensity)))
+    peak_inc = float(inc_intensity.max())
+    cross = float(np.abs(intensity - inc_intensity).max())
     visibility = cross / peak_inc if peak_inc > 0 else 0.0
 
     trace = IntensityTrace(times=times, intensity=intensity,
@@ -255,6 +255,13 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
     return TwoGateOutcome(trace=trace, incoherent_trace=inc_trace,
                           interference_visibility=visibility, s_elapsed=s,
                           predicted_spacing=predicted, drift=drift)
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median, bitwise, without its first call's numpy.ma import."""
+    v = np.sort(values)
+    mid = len(v) // 2
+    return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2)
 
 
 def extract_fringes(trace: IntensityTrace, threshold_fraction: float = 0.1,
@@ -267,38 +274,38 @@ def extract_fringes(trace: IntensityTrace, threshold_fraction: float = 0.1,
         raise DomainError("threshold_fraction must be in (0, 1)")
     t = np.asarray(trace.times, dtype=float)
     y = np.asarray(trace.intensity, dtype=float)
-    total = float(np.sum(y))
+    total = float(y.sum())
     if total <= 0:
         raise NoFringes("trace carries no intensity")
-    mean_t = float(np.sum(t * y) / total)
-    sigma_t = math.sqrt(max(float(np.sum((t - mean_t) ** 2 * y) / total), 0.0))
-    idx = np.flatnonzero(np.abs(t - mean_t) <= 1.5 * sigma_t)
+    mean_t = float((t * y).sum() / total)
+    sigma_t = math.sqrt(max(float(((t - mean_t) ** 2 * y).sum() / total), 0.0))
+    idx = (np.abs(t - mean_t) <= 1.5 * sigma_t).nonzero()[0]
     if sigma_t == 0.0 or idx.size < 3:
         raise NoFringes("central window too narrow for peak analysis")
     lo, hi = idx[0], idx[-1]
-    w_max = float(np.max(y[lo:hi + 1]))
-    w_min = float(np.min(y[lo:hi + 1]))
+    w_max = float(y[lo:hi + 1].max())
+    w_min = float(y[lo:hi + 1].min())
     threshold = threshold_fraction * w_max
 
     a, b = max(lo, 1), min(hi, len(y) - 2)
     mid = y[a:b + 1]
     # leftmost sample of a plateau counts as the peak
     hit = (mid > y[a - 1:b]) & (mid >= y[a + 1:b + 2]) & (mid >= threshold)
-    i = np.flatnonzero(hit) + a
+    i = hit.nonzero()[0] + a
     # the vertex of the parabola through the three samples, or the sample
     # time where they do not curve down
     denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
     down = denom < 0
     shift = 0.5 * (y[i - 1] - y[i + 1]) / np.where(down, denom, -1.0)
-    peaks = np.where(down, t[i] + shift * (t[i + 1] - t[i]), t[i]).tolist()
+    peaks = np.where(down, t[i] + shift * (t[i + 1] - t[i]), t[i])
     if len(peaks) < 2:
         raise NoFringes(f"found {len(peaks)} peak(s); need at least 2")
 
-    spacing = float(np.median(np.diff(peaks)))
+    spacing = _median(peaks[1:] - peaks[:-1])
     visibility = (w_max - w_min) / (w_max + w_min)
     rel = (abs(spacing - predicted_spacing) / predicted_spacing
            if predicted_spacing else None)
-    return FringeReport(peak_times=peaks, spacing_T=spacing,
+    return FringeReport(peak_times=peaks.tolist(), spacing_T=spacing,
                         visibility=visibility, relative_error=rel)
 
 

@@ -11,7 +11,7 @@ come out positive for positive p0, E0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -91,7 +91,7 @@ class SpacetimePacket:
         total = 0.0
         for gj in self.gates:
             for gk in self.gates:
-                total += (gj.amplitude * np.conj(gk.amplitude)
+                total += (gj.amplitude * gk.amplitude.conjugate()
                           * _pair_overlap(gj, gk)).real
         return float(total)
 
@@ -104,9 +104,9 @@ class SpacetimePacket:
         if not math.isfinite(n2):
             raise DomainError(f"packet norm^2 is {n2}, not finite")
         scale = 1.0 / math.sqrt(n2)
-        gates = tuple(replace(g, amplitude=g.amplitude * scale)
-                      for g in self.gates)
-        return replace(self, gates=gates)
+        gates = tuple(TimeGate(g.center_t, g.width_delta_t, g.profile,
+                               g.amplitude * scale) for g in self.gates)
+        return SpacetimePacket(self.spatial, gates, self.mean_energy_E0)
 
 
 def _pair_overlap(gj: TimeGate, gk: TimeGate) -> float:

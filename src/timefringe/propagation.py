@@ -24,6 +24,7 @@ kernel matrix would take n_out x n_in of both.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -59,7 +60,11 @@ MAX_EXPONENT_ROUNDING = 1e-2
 def axis_prefactor(mu: float, s):
     """Per-axis kernel normalization sqrt(mu/(2 pi i s)). The principal
     complex square root fixes the branch and gives K(-s) = conj(K(s))."""
-    return np.sqrt(mu / (2j * np.pi * np.asarray(s, dtype=complex)))
+    if isinstance(s, np.ndarray):
+        return np.sqrt(mu / (2j * np.pi * np.asarray(s, dtype=complex)))
+    # sqrt(-i y) = r (1 - i sign(y)), y = mu / 2 pi s, as numpy gives it
+    r = math.sqrt(0.5 * abs(mu / (2.0 * math.pi * s)))
+    return complex(r, -math.copysign(r, mu * s))
 
 
 @dataclass(frozen=True)
@@ -98,18 +103,21 @@ def gaussian_component(center: float, width: float, wavenumber: float = 0.0,
 
 def propagate_component(comp: GaussianComponent1D, mu: float,
                         s) -> GaussianComponent1D:
-    """Apply the per-axis kernel with effective mass mu for parameter s
-    (a number, or an array of them)."""
+    """Apply the per-axis kernel with effective mass mu for parameter s: a
+    number (cmath; the coefficients are Python complex) or an array (numpy)."""
+    many = isinstance(s, np.ndarray)
+    xp, some, every = (np, np.any, np.all) if many else (cmath, bool, bool)
     beta = mu / (2.0 * s)
     gamma = comp.a - 1j * beta
-    if np.any(gamma.real <= 0):
+    # a NaN Re(gamma) passes on to the float-range check
+    if some(gamma.real <= 0):
         raise DomainError("non-normalizable component: Re(gamma) <= 0")
     a_new = -1j * beta + beta * beta / gamma
-    if not np.all((a_new.real > 0) & (a_new.real < np.inf)):
+    if not every((a_new.real > 0) & (a_new.real < math.inf)):
         raise DomainError(f"envelope spread over s = {np.max(s):g} leaves "
                           "the float range: Re(a) is not a positive float")
-    log_c = np.log(axis_prefactor(mu, s))
-    logamp = (comp.logamp + log_c + 0.5 * np.log(np.pi / gamma)
+    log_c = xp.log(axis_prefactor(mu, s))
+    logamp = (comp.logamp + log_c + 0.5 * xp.log(math.pi / gamma)
               + comp.b * comp.b / (4.0 * gamma))
     b_new = -1j * beta * comp.b / gamma
     return GaussianComponent1D(logamp=logamp, a=a_new, b=b_new)
@@ -136,7 +144,7 @@ def gate_component(gate, mean_energy: float) -> GaussianComponent1D:
     if amp == 0:
         raise DomainError("zero-amplitude gate has no log-amplitude")
     comp = gaussian_component(gate.center_t, gate.width_delta_t,
-                              -mean_energy, logamp=np.log(amp))
+                              -mean_energy, logamp=cmath.log(amp))
     # gate envelopes are not individually normalized
     return GaussianComponent1D(
         logamp=comp.logamp + 0.25 * math.log(math.pi * gate.width_delta_t**2),
@@ -214,27 +222,28 @@ def time_samples(span: float, feature: float, what: str) -> int:
     return n
 
 
-def _closed_form_axis(comps: list, moved: list, out, lo: float,
+def _closed_form_axis(comps, moved: list, out, lo: float,
                       hi: float) -> tuple:
     """The values on out, points of [lo, hi], of the Gaussian components
-    comps already propagated in closed form to moved, and a function
-    returning the exact norm^2 of their sum before and after.
+    comps() already propagated in closed form to moved, and a function
+    returning the exact norm^2 of their sum before and after (it calls comps).
 
     Each value is exp(logamp - a u^2 + b u), whose terms can be far larger
     than their sum. It raises where their rounding on [lo, hi] leaves the
     modulus or, for more than one component, the relative phases
     unreliable."""
     u = max(abs(lo), abs(hi))
-    mag = np.abs if len(moved) > 1 else (lambda z: np.abs(np.real(z)))
+    mag = ((lambda z: math.hypot(z.real, z.imag)) if len(moved) > 1
+           else (lambda z: abs(z.real)))
     size = max(mag(m.logamp) + mag(m.a) * u * u + mag(m.b) * u
                for m in moved)
-    if not size * np.finfo(float).eps <= MAX_EXPONENT_ROUNDING:
+    if not size * math.ulp(1.0) <= MAX_EXPONENT_ROUNDING:
         raise DomainError(
             f"closed-form exponent terms reach {size:.3g} on the grid up to "
             f"|u| = {u:.3g}: their rounding passes {MAX_EXPONENT_ROUNDING}")
     return [m(out) for m in moved], lambda: tuple(
         float(sum(component_overlap(f, g) for f in cs for g in cs).real)
-        for cs in (comps, moved))
+        for cs in (comps(), moved))
 
 
 def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
@@ -300,7 +309,8 @@ def _spatial_factor(spatial: GaussianSpatialPacket, x: np.ndarray, s: float,
     if engine == CLOSED_FORM:
         comp = spatial_component(spatial)
         (values,), norms = _closed_form_axis(
-            [comp], [propagate_component(comp, 1.0, s)], x, x[0], x[-1])
+            lambda: [comp], [propagate_component(comp, 1.0, s)], x, x[0],
+            x[-1])
         return values, norms
     (values,), before, after = _quadrature_axis(
         lambda u: [spatial.amplitude(u)], x, *_input_x(spatial), 513, 1.0, s,
@@ -414,14 +424,16 @@ def _temporal_factor(packet: SpacetimePacket, mu_t: float | None, s: float,
     """The gate terms T_k on the time axis t after propagation by s, and a
     function returning the norm^2 of their sum before and after. Each gate
     is shifted rigidly by s (exact under either engine) or spread with mass
-    -M c^2; in closed form, spread may hold them already spread by s."""
+    -M c^2; in closed form, spread may hold them already spread by s, and
+    the unspread gates are built only when the norms are read."""
     if mu_t is None:
         return (packet.gate_terms(t - s),
                 lambda: (packet.temporal_norm2(),) * 2)
     if engine == CLOSED_FORM:
-        gates = [gate_component(g, packet.mean_energy_E0)
-                 for g in packet.gates]
-        spread = spread or [propagate_component(cp, mu_t, s) for cp in gates]
+        def gates() -> list:
+            return [gate_component(g, packet.mean_energy_E0)
+                    for g in packet.gates]
+        spread = spread or [propagate_component(g, mu_t, s) for g in gates()]
         return _closed_form_axis(gates, spread, t, t[0], t[-1])
     lo = min(g.center_t - INPUT_PAD_SIGMAS * g.width_delta_t
              for g in packet.gates)
@@ -475,8 +487,8 @@ def read_detector(packet: SpacetimePacket, theory: str, s: float,
                           f"[{lo_x:g}, {hi_x:g}] of the spread packet")
     t = _axis(lo_t, hi_t, n_t)
     if engine == CLOSED_FORM:
-        (x_value,), x_norms = _closed_form_axis([comp], [moved], x_d, lo_x,
-                                                hi_x)
+        (x_value,), x_norms = _closed_form_axis(lambda: [comp], [moved], x_d,
+                                                lo_x, hi_x)
     else:
         x_value, x_norms = _spatial_factor(spatial, _axis(lo_x, hi_x, n_x),
                                            s, engine, at=x_d)

@@ -8,7 +8,6 @@ The simulation itself runs in internal units (hbar = M = c = 1); the lab
 from __future__ import annotations
 
 import copy
-import difflib
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -98,6 +97,7 @@ class Scenario:
 def _reject_unknown(section: str, data: dict, known) -> None:
     for key in data:
         if key not in known:
+            import difflib  # only for the hint; a cold start skips it
             hint = difflib.get_close_matches(key, list(known), n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             where = f"{section}.{key}" if section else key

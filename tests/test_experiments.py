@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from timefringe.errors import DomainError, NoFringes, OverlapWarning
 from timefringe.experiments import (DESK_SCALE, MIN_INTERFERENCE_VISIBILITY,
-                                    IntensityTrace, TwoGateConfig,
+                                    IntensityTrace, TwoGateConfig, _median,
                                     build_packet,
                                     extract_fringes, outcome_fringes,
                                     two_gate_run, visibility_scan)
@@ -359,6 +361,29 @@ class TestWorkCounts:
         assert all(row.error is None for row in rows)
         assert overlaps == []
 
+    def test_closed_form_row_builds_each_packet_and_gate_once(
+            self, monkeypatch):
+        # the normalized packet is built, not copied by dataclasses.replace;
+        # the unspread gates are built only for the norm, and the spacing
+        # takes no np.median
+        spread = self.record(monkeypatch, propagation, "propagate_component")
+        gates = self.record(monkeypatch, propagation, "gate_component")
+        medians = self.record(monkeypatch, np, "median")
+        replaced, code = [], dataclasses.replace.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                replaced.append(frame.f_back.f_code.co_name)
+        sys.setprofile(profile)
+        try:
+            outcome = two_gate_run(STUECKELBERG)
+            outcome_fringes(outcome)
+        finally:
+            sys.setprofile(None)
+        assert (replaced, len(gates), medians, len(spread)) == ([], 2, [], 3)
+        assert outcome.norm_drift > 0
+        assert len(gates) == 4
+
     @pytest.mark.parametrize("theory,count", [(STUECKELBERG, 10),
                                               (FLOQUET, 2)])
     def test_norm_drift_is_computed_when_read(self, monkeypatch, theory,
@@ -531,6 +556,31 @@ class TestExtractFringes:
         got = extract_fringes(trace).peak_times
         assert len(got) >= 2
         assert got == reference_peak_times(trace, 0.1)
+
+    @pytest.mark.parametrize("values", [
+        [0.5], [0.75, 0.5], [3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0],
+        # ties, and middle pairs whose sum rounds
+        [1.0, 1.0, 2.0, 2.0], [0.3, 0.1, 0.1, 0.3, 0.1],
+        [0.1, 0.2, 0.7, 0.3], [1.0, np.nextafter(1.0, 2.0), 1.0, 3.0],
+    ])
+    def test_median_is_np_median(self, values):
+        gaps = np.array(values)
+        assert _median(gaps).hex() == float(np.median(gaps)).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0 / 3.0])
+                    | st.floats(1e-3, 1e3), min_size=1, max_size=12))
+    def test_median_matches_np_median(self, values):
+        gaps = np.array(values)
+        assert _median(gaps).hex() == float(np.median(gaps)).hex()
+
+    @pytest.mark.parametrize("theory", THEORIES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_desk_spacing_is_the_np_median_gap(self, theory, engine):
+        trace = two_gate_run(theory, replace(DESK_SCALE, engine=engine)).trace
+        report = extract_fringes(trace)
+        gaps = np.diff(report.peak_times)
+        assert report.spacing_T.hex() == float(np.median(gaps)).hex()
 
     @pytest.mark.parametrize("bump,flat", [
         # a plateau: its leftmost sample is the peak, and the parabola

@@ -5,9 +5,14 @@ A stale import or helper outlives the code that needed it; no linter is a
 dependency, so this reads the modules with ``ast``. An import line marked
 ``# noqa`` is kept on purpose (a re-export another tool looks up) and is
 skipped.
+
+A command run in a fresh interpreter imports no module it does not use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +71,32 @@ def unused_private_names(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_top_level_name_is_used(path):
     assert unused_private_names(path) == []
+
+
+# what a cold command must not import: np.median's first call pulls in
+# numpy.ma (15-27 ms), and difflib serves only the unknown-key hint
+UNUSED_ON_COLD_START = ("numpy.ma", "difflib")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--theory", "stueckelberg"],
+    ["simulate", "--theory", "floquet"],
+    ["simulate", "--theory", "schrodinger_control"],
+    ["scan", "--param", "gate_spacing", "--values", "8,12,16"],
+    ["fringes"],
+], ids=lambda argv: "-".join(argv[:3:2]))
+def test_cold_command_imports_only_what_it_runs(tmp_path, argv):
+    if argv == ["fringes"]:
+        from timefringe.cli import main
+        assert main(["simulate", "--out", str(tmp_path / "sim")]) == 0
+        argv = ["fringes", "--trace", str(tmp_path / "sim" / "trace.csv")]
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    code = ("import sys\nfrom timefringe.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print([m for m in {UNUSED_ON_COLD_START!r} if m in sys.modules])")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,14 +13,16 @@ from timefringe.numerics import simpson_weights
 from timefringe.packets import (GaussianSpatialPacket, Grid1D,
                                 SpacetimePacket, TimeGate)
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
-                                    STUECKELBERG, _quadrature_axis,
+                                    STUECKELBERG, GaussianComponent1D,
+                                    _quadrature_axis,
                                     auto_output_grid, axis_prefactor,
                                     component_overlap, gate_component,
                                     gaussian_component, hamilton_diagnostics,
                                     propagate_component, propagate_floquet,
                                     propagate_schrodinger, propagate_spacetime,
                                     propagate_stueckelberg,
-                                    schrodinger_closed_form)
+                                    schrodinger_closed_form,
+                                    spatial_component)
 
 MASS = 1.0
 
@@ -252,6 +255,40 @@ class TestComponentAlgebra:
         out = propagate_component(comp, -1.0, 10.0)
         assert np.isfinite(out.logamp)
         assert np.isfinite(out(4000.0))
+
+    @pytest.mark.parametrize("mu", [1.0, -1.0])
+    @pytest.mark.parametrize("s", [0.07, 0.3, 10.0, 2e4])
+    def test_number_and_array_paths_agree(self, mu, s):
+        # a number takes cmath on Python complex numbers, an array numpy.
+        # The log-amplitude of a displaced gate is a difference of terms
+        # near b^2 / 4a, so it is compared to their size
+        for comp in (
+                spatial_component(GaussianSpatialPacket(1.5, 5.0, 0.2)),
+                gate_component(TimeGate(center_t=0.0, width_delta_t=0.5),
+                               1.02),
+                gate_component(TimeGate(center_t=12.0, width_delta_t=0.5),
+                               1.02)):
+            one = propagate_component(comp, mu, s)
+            many = propagate_component(comp, mu, np.array([s]))
+            terms = abs(comp.logamp) + abs(comp.b) ** 2 / (4 * abs(comp.a))
+            for name, size in (("logamp", terms), ("a", 0.0), ("b", 0.0)):
+                got, want = getattr(one, name), complex(getattr(many, name)[0])
+                assert type(got) is complex
+                assert abs(got - want) <= 1e-15 * max(abs(want), size)
+
+    @pytest.mark.parametrize("a,s,message", [
+        (-1.0, 10.0, "non-normalizable component: Re(gamma) <= 0"),
+        # 1 / 2s overflows, so Re(gamma) is NaN: it must reach the
+        # float-range check, which names s
+        (0.02, 5e-324, "envelope spread over s = 4.94066e-324 leaves"),
+        (0.02, 1e-300, "envelope spread over s = 1e-300 leaves"),
+    ])
+    def test_number_and_array_paths_raise_alike(self, a, s, message):
+        comp = GaussianComponent1D(logamp=0j, a=complex(a), b=0.2j)
+        for arg in (s, np.array([s])):
+            with (np.errstate(all="ignore"),
+                  pytest.raises(DomainError, match=re.escape(message))):
+                propagate_component(comp, 1.0, arg)
 
     def test_hamilton_needs_three_samples(self):
         with pytest.raises(DomainError):
