@@ -557,20 +557,16 @@ class TestExtractFringes:
         assert len(got) >= 2
         assert got == reference_peak_times(trace, 0.1)
 
-    @pytest.mark.parametrize("values", [
-        [0.5], [0.75, 0.5], [3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0],
-        # ties, and middle pairs whose sum rounds
-        [1.0, 1.0, 2.0, 2.0], [0.3, 0.1, 0.1, 0.3, 0.1],
-        [0.1, 0.2, 0.7, 0.3], [1.0, np.nextafter(1.0, 2.0), 1.0, 3.0],
-    ])
-    def test_median_is_np_median(self, values):
-        gaps = np.array(values)
-        assert _median(gaps).hex() == float(np.median(gaps)).hex()
-
+    # odd and even counts, ties, and middle pairs whose sum rounds
+    @example([0.5])
+    @example([4.0, 1.0, 3.0, 2.0])
+    @example([0.3, 0.1, 0.1, 0.3, 0.1])
+    @example([0.1, 0.2, 0.7, 0.3])
+    @example([1.0, np.nextafter(1.0, 2.0), 1.0, 3.0])
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0 / 3.0])
                     | st.floats(1e-3, 1e3), min_size=1, max_size=12))
-    def test_median_matches_np_median(self, values):
+    def test_median_is_np_median(self, values):
         gaps = np.array(values)
         assert _median(gaps).hex() == float(np.median(gaps)).hex()
 

@@ -74,7 +74,8 @@ def test_every_private_top_level_name_is_used(path):
 
 
 # what a cold command must not import: np.median's first call pulls in
-# numpy.ma (15-27 ms), and difflib serves only the unknown-key hint
+# numpy.ma, milliseconds of a cold op, and difflib serves only the
+# unknown-key hint
 UNUSED_ON_COLD_START = ("numpy.ma", "difflib")
 
 
