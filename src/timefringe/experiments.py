@@ -26,8 +26,8 @@ from .errors import DomainError, NoFringes, OverlapWarning
 from .packets import (GAUSSIAN, GATE_PROFILES, GaussianSpatialPacket,
                       SpacetimePacket, TimeGate)
 from .propagation import (CLOSED_FORM, ENGINES, SCHRODINGER, STUECKELBERG,
-                          THEORIES, propagate_component, read_detector,
-                          spatial_component, time_samples)
+                          THEORIES, axis_samples, propagate_component,
+                          read_field, spatial_component)
 # perfbench/tracing.py wraps these by name in this module; two_gate_run
 # calls none of them.
 from .propagation import (auto_output_grid, propagate_floquet,  # noqa
@@ -200,7 +200,7 @@ def _schrodinger_control_traces(cfg: TwoGateConfig):
     sigma_arrival = spread.intensity_sigma / cfg.momentum
     center = t_flight + 0.5 * cfg.gate_spacing
     half = 4.0 * sigma_arrival + cfg.gate_spacing
-    n_t = time_samples(2.0 * half, sigma_arrival, "arrival pulses of width")
+    n_t = axis_samples(2.0 * half, sigma_arrival, "arrival pulses of width")
     times = np.linspace(center - half, center + half, n_t)
 
     # one row per gate: each pulse reaches the detector after it opens
@@ -239,8 +239,8 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
                  and cfg.gate_spacing > 0 else None)
     # the field is X(x) sum_k T_k(t); the incoherent reference drops the
     # cross terms between gates
-    x_d, times, temporal, drift = read_detector(packet, theory, s,
-                                                cfg.engine, cfg.detector)
+    x_d, _, times, temporal, norms = read_field(packet, theory, s, cfg.engine,
+                                                cfg.detector)
     intensity = np.abs(x_d * sum(temporal)) ** 2
     inc_intensity = sum(np.abs(x_d * tk) ** 2 for tk in temporal)
 
@@ -252,6 +252,10 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
                            detector_x=cfg.detector, theory=theory)
     inc_trace = IntensityTrace(times=times, intensity=inc_intensity,
                                detector_x=cfg.detector, theory=theory)
+
+    def drift() -> float:  # PropagationResult.norm_drift
+        before, after = norms()
+        return abs(after - before) / before
     return TwoGateOutcome(trace=trace, incoherent_trace=inc_trace,
                           interference_visibility=visibility, s_elapsed=s,
                           predicted_spacing=predicted, drift=drift)

@@ -45,9 +45,8 @@ STUECKELBERG = "stueckelberg"
 THEORIES = (SCHRODINGER, FLOQUET, STUECKELBERG)
 
 INPUT_SAMPLES_PER_CYCLE = 48   # of the kernel chirp, on every input grid
-OUTPUT_SAMPLES_PER_CYCLE = 16  # of the chirp, on automatic x grids
-SAMPLES_PER_FEATURE = 12  # of the narrowest intensity feature, on time axes
-MIN_TIME_SAMPLES = 129
+SAMPLES_PER_FEATURE = 12  # of the narrowest intensity feature, on output axes
+MIN_AXIS_SAMPLES = 129
 INPUT_PAD_SIGMAS = 7.5   # input grids: half-width in amplitude widths
 OUTPUT_PAD_SIGMAS = 6.5  # output grids: half-width in intensity sigmas
 # most samples on one grid axis: about 16 MB per complex array of one axis
@@ -113,7 +112,8 @@ def propagate_component(comp: GaussianComponent1D, mu: float,
     if some(gamma.real <= 0):
         raise DomainError("non-normalizable component: Re(gamma) <= 0")
     a_new = -1j * beta + beta * beta / gamma
-    if not every((a_new.real > 0) & (a_new.real < math.inf)):
+    # a subnormal Re(a) has lost its precision; its overlaps overflow
+    if not every((a_new.real >= 2.0 ** -1022) & (a_new.real < math.inf)):
         raise DomainError(f"envelope spread over s = {np.max(s):g} leaves "
                           "the float range: Re(a) is not a positive float")
     log_c = xp.log(axis_prefactor(mu, s))
@@ -196,29 +196,21 @@ def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def _required_samples(k_max: float, span: float,
-                      samples_per_cycle: float) -> int:
-    cycles = k_max * span / (2.0 * math.pi)
-    if not cycles * samples_per_cycle < math.inf:
-        raise ResolutionError(f"the sample count for wavenumber {k_max:g} "
-                              f"over a span of {span:g} leaves the float range")
-    return _odd(max(33, int(math.ceil(cycles * samples_per_cycle)) + 1))
-
-
-def time_samples(span: float, feature: float, what: str) -> int:
-    """n_t of an automatic time axis: SAMPLES_PER_FEATURE samples per
-    feature, the narrowest width or period of the intensity, over span; an
-    odd count, at least MIN_TIME_SAMPLES. Past MAX_AXIS_SAMPLES it raises
-    before anything is allocated."""
+def axis_samples(span: float, feature: float, what: str,
+                 axis: str = "t") -> int:
+    """The sample count of an automatic output axis: SAMPLES_PER_FEATURE
+    samples per feature, the narrowest width or period of the intensity,
+    over span; an odd count, at least MIN_AXIS_SAMPLES. Past
+    MAX_AXIS_SAMPLES it raises before anything is allocated."""
     step = feature / SAMPLES_PER_FEATURE
     per_span = span / step if step > 0 else math.inf
-    n = (_odd(max(MIN_TIME_SAMPLES, math.ceil(per_span)))
+    n = (_odd(max(MIN_AXIS_SAMPLES, math.ceil(per_span)))
          if per_span < math.inf else None)
     if n is None or n > MAX_AXIS_SAMPLES:
         raise ResolutionError(
             f"resolving {what} {feature:g} over a span of {span:g} needs "
-            f"n_t = {per_span if n is None else n}, above the ceiling of "
-            f"{MAX_AXIS_SAMPLES}")
+            f"n_{axis} = {per_span if n is None else n}, above the ceiling "
+            f"of {MAX_AXIS_SAMPLES}")
     return n
 
 
@@ -270,7 +262,11 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
     """
     k_max = abs(mu) * max(abs(out[-1] - lo), abs(out[0] - hi)) / s + k0
     span = hi - lo
-    n_in = max(n_in, _required_samples(k_max, span, INPUT_SAMPLES_PER_CYCLE))
+    needed = k_max * span / (2.0 * math.pi) * INPUT_SAMPLES_PER_CYCLE
+    if not needed < math.inf:
+        raise ResolutionError(f"the sample count for wavenumber {k_max:g} "
+                              f"over a span of {span:g} leaves the float range")
+    n_in = max(n_in, _odd(math.ceil(needed) + 1))
     if n_in > MAX_AXIS_SAMPLES:
         raise ResolutionError(
             f"resolving the kernel chirp needs n_{axis} = {n_in} input "
@@ -286,8 +282,12 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
     i = np.arange(n_out)
     j = np.arange(n_in)
     k = np.arange(1 - n_in, n_out)
-    pre = complex(axis_prefactor(mu, s)) * np.exp(
-        1j * beta * (d * d + (2.0 * d * dx + (dx * dx - dx * h) * i) * i))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = beta * (d * d + (2.0 * d * dx + (dx * dx - dx * h) * i) * i)
+    if not np.isfinite(phase).all():
+        raise DomainError(f"the kernel phase over the output {axis} axis "
+                          "leaves the float range")
+    pre = complex(axis_prefactor(mu, s)) * np.exp(1j * phase)
     post = w_in * np.exp(1j * beta * ((h * h - dx * h) * j - 2.0 * d * h) * j)
     n_fft = 1 << (n_out + n_in - 2).bit_length()
     spectrum = (np.fft.fft(np.exp(1j * beta * dx * h * k * k), n_fft)
@@ -301,27 +301,27 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
     return values, float(w_in @ np.abs(sum(values_in)) ** 2), after
 
 
-def _spatial_factor(spatial: GaussianSpatialPacket, x: np.ndarray, s: float,
-                    engine: str, at: float | None = None) -> tuple:
-    """X(x) after spreading with mass M for s, by quadrature X(at) instead
-    when at is given, and a function returning its norm^2 before and
-    after."""
+def _spatial_factor(spatial: GaussianSpatialPacket,
+                    moved: GaussianComponent1D, x, s: float,
+                    engine: str) -> tuple:
+    """X at x, a point or a uniform axis, after spreading with mass M for s
+    (moved: the spatial component so spread), and a function returning its
+    norm^2 before and after. At a point, the closed form bounds its rounding
+    over the automatic x range, and quadrature takes the norm on the
+    automatic x axis."""
+    point = not isinstance(x, np.ndarray)
     if engine == CLOSED_FORM:
-        comp = spatial_component(spatial)
         (values,), norms = _closed_form_axis(
-            lambda: [comp], [propagate_component(comp, 1.0, s)], x, x[0],
-            x[-1])
+            lambda: [spatial_component(spatial)], [moved], x,
+            *(_padded_range([moved]) if point else (x[0], x[-1])))
         return values, norms
+    pad = INPUT_PAD_SIGMAS * spatial.width_sigma_x  # the input x range
     (values,), before, after = _quadrature_axis(
-        lambda u: [spatial.amplitude(u)], x, *_input_x(spatial), 513, 1.0, s,
-        abs(spatial.mean_momentum_p0), "x", at)
+        lambda u: [spatial.amplitude(u)],
+        _axis(*_output_x(moved)) if point else x, spatial.center_x - pad,
+        spatial.center_x + pad, 513, 1.0, s, abs(spatial.mean_momentum_p0),
+        "x", x if point else None)
     return values, lambda: (before, after)
-
-
-def _input_x(spatial: GaussianSpatialPacket) -> tuple:
-    """The x range of an input grid: the initial envelope, padded."""
-    pad = INPUT_PAD_SIGMAS * spatial.width_sigma_x
-    return spatial.center_x - pad, spatial.center_x + pad
 
 
 def _padded_range(comps: list) -> tuple:
@@ -333,26 +333,15 @@ def _padded_range(comps: list) -> tuple:
     return lo, hi
 
 
-def _output_x(spatial: GaussianSpatialPacket, s: float) -> tuple:
-    """(lo, hi, n) of the x axis of an automatic output grid, covering the
-    spatial packet spread over s and resolving its kernel chirp (none at
-    s = 0) plus its mean wavenumber. It sizes x only: time axes sample the
-    intensity's own features (time_samples)."""
-    lo, hi = _padded_range([schrodinger_closed_form(spatial, s)])
-    k_max = ((hi - lo) / abs(s) if s else 0.0) + abs(spatial.mean_momentum_p0)
-    n = min(2048, _required_samples(k_max, hi - lo, OUTPUT_SAMPLES_PER_CYCLE))
-    return lo, hi, n
+def _output_x(moved: GaussianComponent1D) -> tuple:
+    """(lo, hi, n) of the automatic x axis: the padded range of the spread
+    spatial intensity, sampled as every output axis is (axis_samples)."""
+    lo, hi = _padded_range([moved])
+    return lo, hi, axis_samples(hi - lo, moved.intensity_sigma,
+                                "a spatial intensity of width", "x")
 
 
 # ---------------------------------------------------------------- Schrodinger
-
-def schrodinger_closed_form(packet: GaussianSpatialPacket,
-                            t_elapsed: float) -> GaussianComponent1D:
-    comp = spatial_component(packet)
-    if t_elapsed == 0.0:
-        return comp
-    return propagate_component(comp, 1.0, t_elapsed)
-
 
 def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
                           engine: str = CLOSED_FORM,
@@ -362,14 +351,16 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
         raise DomainError("t_elapsed must be >= 0")
     if engine not in ENGINES:
         raise DomainError(f"engine must be one of {ENGINES}")
+    comp = spatial_component(packet)
+    moved = propagate_component(comp, 1.0, t_elapsed) if t_elapsed else comp
     if grid is None:
-        grid = Grid1D(*_output_x(packet, t_elapsed))
+        grid = Grid1D(*_output_x(moved))
     if t_elapsed == 0.0:
-        field = spatial_component(packet)(grid.x)
+        field = comp(grid.x)
         n2 = float(simpson_weights(grid.n_x, grid.dx) @ np.abs(field) ** 2)
         return PropagationResult(spatial=field, grid=grid, norm_before=n2,
                                  norm_after=n2, engine=engine)
-    spatial, norms = _spatial_factor(packet, grid.x, t_elapsed, engine)
+    spatial, norms = _spatial_factor(packet, moved, grid.x, t_elapsed, engine)
     n_before, n_after = norms()
     return PropagationResult(spatial=spatial, grid=grid, norm_before=n_before,
                              norm_after=n_after, engine=engine)
@@ -391,7 +382,7 @@ def _time_axis(packet: SpacetimePacket, mu_t: float | None, s: float) -> tuple:
         hi = max(g.center_t + 1.25 * OUTPUT_PAD_SIGMAS * g.width_delta_t
                  for g in packet.gates) + s
         spread = []
-        n = time_samples(hi - lo, min(g.width_delta_t for g in packet.gates),
+        n = axis_samples(hi - lo, min(g.width_delta_t for g in packet.gates),
                          "gates of width")
     else:
         spread = [propagate_component(gate_component(
@@ -400,7 +391,7 @@ def _time_axis(packet: SpacetimePacket, mu_t: float | None, s: float) -> tuple:
         rates = [float(cp.b.imag) for cp in spread]
         beat = max(rates) - min(rates)
         period = 2.0 * math.pi / beat if beat else math.inf
-        n = time_samples(hi - lo,
+        n = axis_samples(hi - lo,
                          min(period, *(cp.intensity_sigma for cp in spread)),
                          "intensity features of width")
     if not lo < hi:
@@ -411,12 +402,12 @@ def _time_axis(packet: SpacetimePacket, mu_t: float | None, s: float) -> tuple:
 
 def auto_output_grid(packet: SpacetimePacket, theory: str,
                      s: float) -> Grid2D:
-    """Grid covering the propagated envelope: x resolves its chirp, and t
-    the narrowest feature of the temporal intensity (_time_axis)."""
+    """Grid covering the propagated envelope; each axis samples the
+    narrowest feature of its intensity (_output_x, _time_axis)."""
     mu_t = time_mass(theory)
-    lo_x, hi_x, n_x = _output_x(packet.spatial, s)
+    moved = propagate_component(spatial_component(packet.spatial), 1.0, s)
     lo_t, hi_t, n_t, _ = _time_axis(packet, mu_t, s)
-    return Grid2D(lo_x, hi_x, n_x, lo_t, hi_t, n_t)
+    return Grid2D(*_output_x(moved), lo_t, hi_t, n_t)
 
 
 def _temporal_factor(packet: SpacetimePacket, mu_t: float | None, s: float,
@@ -445,60 +436,55 @@ def _temporal_factor(packet: SpacetimePacket, mu_t: float | None, s: float,
     return values, lambda: (before, after)
 
 
+def read_field(packet: SpacetimePacket, theory: str, s: float, engine: str,
+               x=None, t=None) -> tuple:
+    """The field X(x) sum_k T_k(t) of packet propagated by s under theory, in
+    factored form: X at x, a point of the automatic x range or a uniform axis
+    (the automatic one when None); that range; the time axis t (the automatic
+    one when None); the T_k on it; and a function returning the norm^2
+    before and after. The spatial factor spreads with mass M under both
+    theories, and each gate is either shifted rigidly by s or spread with
+    mass -M c^2. In closed form, a point read spreads each Gaussian once and
+    builds no x axis; by quadrature, X at a point is the Simpson kernel sum
+    there."""
+    mu_t = time_mass(theory)
+    moved = propagate_component(spatial_component(packet.spatial), 1.0, s)
+    lo_x, hi_x = _padded_range([moved])
+    spread = ()
+    if t is None:
+        lo_t, hi_t, n_t, spread = _time_axis(packet, mu_t, s)
+        t = _axis(lo_t, hi_t, n_t)
+    if x is None:
+        x = _axis(*_output_x(moved))
+    elif not isinstance(x, np.ndarray) and not lo_x <= x <= hi_x:
+        raise DomainError(f"detector_x = {x:g} lies outside the x range "
+                          f"[{lo_x:g}, {hi_x:g}] of the spread packet")
+    spatial, x_norms = _spatial_factor(packet.spatial, moved, x, s, engine)
+    temporal, t_norms = _temporal_factor(packet, mu_t, s, engine, t, spread)
+
+    def norms() -> tuple:
+        (x_before, x_after), (t_before, t_after) = x_norms(), t_norms()
+        return x_before * t_before, x_after * t_after
+    return spatial, (lo_x, hi_x), t, temporal, norms
+
+
 def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
                         engine: str = CLOSED_FORM,
                         grid: Grid2D | None = None) -> PropagationResult:
     """Propagate a space-time packet by s under the time-shift (Floquet) or
-    covariant (Stueckelberg) theory. The field stays rank-1: the spatial
-    factor spreads with mass M under both, and each gate is either shifted
-    rigidly by s or spread with mass -M c^2."""
+    covariant (Stueckelberg) theory onto grid, the automatic one when None;
+    the field stays rank-1 (read_field)."""
     if s <= 0:
         raise DomainError("s must be > 0")
     if engine not in ENGINES:
         raise DomainError(f"engine must be one of {ENGINES}")
-    mu_t = time_mass(theory)
-    if grid is None:
-        grid = auto_output_grid(packet, theory, s)
-    spatial, x_norms = _spatial_factor(packet.spatial, grid.x, s, engine)
-    temporal, t_norms = _temporal_factor(packet, mu_t, s, engine, grid.t)
-    (nx_before, nx_after), (nt_before, nt_after) = x_norms(), t_norms()
-    return PropagationResult(spatial=spatial, temporal=tuple(temporal),
-                             grid=grid, norm_before=nx_before * nt_before,
-                             norm_after=nx_after * nt_after, engine=engine)
-
-
-def read_detector(packet: SpacetimePacket, theory: str, s: float,
-                  engine: str, x_d: float) -> tuple:
-    """propagate_spacetime on the automatic grid, read at x = x_d: X(x_d),
-    the time axis, the T_k on it and a function returning the norm drift.
-    The closed form spreads each Gaussian once and builds no x axis; by
-    quadrature, X(x_d) is the Simpson kernel sum over the x grid's inputs."""
-    mu_t = time_mass(theory)
-    spatial = packet.spatial
-    if engine == CLOSED_FORM:
-        comp = spatial_component(spatial)
-        moved = propagate_component(comp, 1.0, s)
-        lo_x, hi_x = _padded_range([moved])
-    else:
-        lo_x, hi_x, n_x = _output_x(spatial, s)
-    lo_t, hi_t, n_t, spread = _time_axis(packet, mu_t, s)
-    if not lo_x <= x_d <= hi_x:
-        raise DomainError(f"detector_x = {x_d:g} lies outside the x range "
-                          f"[{lo_x:g}, {hi_x:g}] of the spread packet")
-    t = _axis(lo_t, hi_t, n_t)
-    if engine == CLOSED_FORM:
-        (x_value,), x_norms = _closed_form_axis(lambda: [comp], [moved], x_d,
-                                                lo_x, hi_x)
-    else:
-        x_value, x_norms = _spatial_factor(spatial, _axis(lo_x, hi_x, n_x),
-                                           s, engine, at=x_d)
-    temporal, t_norms = _temporal_factor(packet, mu_t, s, engine, t, spread)
-
-    def drift() -> float:  # PropagationResult.norm_drift
-        (x_before, x_after), (t_before, t_after) = x_norms(), t_norms()
-        return (abs(x_after * t_after - x_before * t_before)
-                / (x_before * t_before))
-    return x_value, t, temporal, drift
+    spatial, (lo_x, hi_x), t, temporal, norms = read_field(
+        packet, theory, s, engine, *((grid.x, grid.t) if grid else ()))
+    before, after = norms()
+    return PropagationResult(
+        spatial=spatial, temporal=tuple(temporal),
+        grid=grid or Grid2D(lo_x, hi_x, len(spatial), t[0], t[-1], len(t)),
+        norm_before=before, norm_after=after, engine=engine)
 
 
 def propagate_floquet(packet: SpacetimePacket, delta_s: float,

@@ -22,7 +22,8 @@ from timefringe.propagation import (CLOSED_FORM, ENGINES, FLOQUET, QUADRATURE,
                                     SAMPLES_PER_FEATURE, SCHRODINGER,
                                     STUECKELBERG, THEORIES, auto_output_grid,
                                     gate_component, propagate_component,
-                                    propagate_floquet, propagate_spacetime,
+                                    propagate_floquet, propagate_schrodinger,
+                                    propagate_spacetime,
                                     propagate_stueckelberg, spatial_component)
 
 
@@ -467,6 +468,22 @@ def test_time_shift_grid_counts_are_unchanged(eps, flight, width):
     grid = auto_output_grid(build_packet(cfg), FLOQUET, cfg.s_star)
     count = int(math.ceil((grid.t_max - grid.t_min) / (width / 12.0)))
     assert grid.n_t == max(129, count + (count % 2 == 0))
+
+
+@pytest.mark.parametrize("flight", [2.0, 43.0, 50.0, 200.0])
+def test_automatic_x_axis_samples_the_intensity_sigma(flight):
+    # x takes the time axes' rule: SAMPLES_PER_FEATURE samples per intensity
+    # sigma of the spread packet over its padded range, an odd count, no cap
+    cfg = replace(DESK_SCALE, flight_distance=flight)
+    packet, s = build_packet(cfg), cfg.s_star
+    sigma = propagate_component(spatial_component(packet.spatial), 1.0,
+                                s).intensity_sigma
+    for grid in (auto_output_grid(packet, FLOQUET, s),
+                 propagate_schrodinger(packet.spatial, s).grid):
+        span = grid.x_max - grid.x_min
+        assert grid.n_x % 2 == 1
+        assert grid.n_x * sigma / span >= SAMPLES_PER_FEATURE
+        assert (grid.n_x - 1) * sigma / span > SAMPLES_PER_FEATURE - 0.1
 
 
 def planted_trace(period=0.5, n=4001, center=10.0, envelope_sigma=3.0):

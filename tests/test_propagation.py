@@ -20,9 +20,7 @@ from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
                                     gaussian_component, hamilton_diagnostics,
                                     propagate_component, propagate_floquet,
                                     propagate_schrodinger, propagate_spacetime,
-                                    propagate_stueckelberg,
-                                    schrodinger_closed_form,
-                                    spatial_component)
+                                    propagate_stueckelberg, spatial_component)
 
 MASS = 1.0
 
@@ -46,13 +44,13 @@ class TestSchrodinger:
         w = 1.0
         pk = GaussianSpatialPacket(0.0, w, 0.0)
         for t in (0.5, 2.0, 10.0):
-            comp = schrodinger_closed_form(pk, t)
+            comp = propagate_component(spatial_component(pk), 1.0, t)
             expected = (w / math.sqrt(2)) * math.sqrt(1 + (t / w**2) ** 2)
             assert comp.intensity_sigma == pytest.approx(expected, rel=1e-12)
 
     def test_drift_at_group_velocity(self):
         pk = GaussianSpatialPacket(0.0, 1.0, 0.7)
-        comp = schrodinger_closed_form(pk, 3.0)
+        comp = propagate_component(spatial_component(pk), 1.0, 3.0)
         assert comp.intensity_mean == pytest.approx(0.7 * 3.0, rel=1e-12)
 
     def test_norm_preserved_closed_form(self):

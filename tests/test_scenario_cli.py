@@ -38,6 +38,14 @@ def trace_has_intensity(out) -> bool:
         return any(float(line.split(",")[1]) > 0 for line in fh)
 
 
+def strict_report(out) -> dict:
+    """report.json parsed as strict JSON: a NaN or Infinity raises."""
+    def reject(token):
+        raise ValueError(f"report.json holds the non-JSON number {token}")
+    return json.loads((out / "report.json").read_text(),
+                      parse_constant=reject)
+
+
 def assert_config_error(tmp_path, capsys, command, section, key, value):
     assert run_one_key(tmp_path, command, section, key, value) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
@@ -267,7 +275,8 @@ class TestScenarioSweep:
     def test_every_number_ends_in_a_documented_exit(self, tmp_path, theory,
                                                     engine):
         # each packet/sim number at 19 sizes, one key at a time: exit 0
-        # with a trace that carries intensity, or exit 2, 3 or 4
+        # with a trace that carries intensity and a strict-JSON report, or
+        # exit 2, 3 or 4
         bad = []
         for section, key in _SWEEP_KEYS:
             for value in _SWEEP_VALUES:
@@ -276,6 +285,8 @@ class TestScenarioSweep:
                     code = run_one_key(tmp_path, "simulate", section, key,
                                        value, "--theory", theory,
                                        "--engine", engine)
+                    if code == 0:
+                        strict_report(tmp_path / "out")
                 except Exception as exc:
                     bad.append(f"{where}: {type(exc).__name__}: {exc}")
                     continue
@@ -524,6 +535,22 @@ class TestCliSimulate:
         assert run_one_key(tmp_path, "simulate", section, key, value,
                            "--theory", "floquet", "--engine", engine) == code
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize("theory", ["floquet", "stueckelberg"])
+    @pytest.mark.parametrize("width", [1e-150, 3e-153, 1e-153, 1e-154])
+    def test_narrow_packet_reports_a_finite_drift_or_fails(
+            self, tmp_path, theory, engine, width):
+        # at s* = 10, from w = 2e-153 down the spread Re(a) is subnormal and
+        # the overlaps of the norm overflow; at 3e-153 the quadrature kernel
+        # phase over the output x axis overflows. Unguarded, either ends in
+        # exit 0 with a NaN or Infinity norm_drift
+        code = run_one_key(tmp_path, "simulate", "packet", "spatial_width",
+                           width, "--theory", theory, "--engine", engine)
+        assert code in (0, 3, 4)
+        if code == 0:
+            drift = strict_report(tmp_path / "out")["norm_drift"]
+            assert math.isfinite(drift)
 
     @pytest.mark.parametrize("section,key,value,code", [
         ("sim", "detector_x", 1e3, 0), ("sim", "detector_x", -1e3, 4),
