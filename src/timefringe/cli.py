@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,8 +25,9 @@ from . import __version__
 from .errors import (ConfigError, DomainError, IoError, NoFringes,
                      ResolutionError)
 from .estimates import compare_estimates, report_to_dict
-from .experiments import (SCAN_PARAMS, IntensityTrace, extract_fringes,
-                          outcome_fringes, two_gate_run, visibility_scan)
+from .experiments import (SCAN_PARAMS, THRESHOLD_FRACTION, IntensityTrace,
+                          extract_fringes, outcome_fringes, two_gate_run,
+                          visibility_scan)
 from .propagation import ENGINES, SCHRODINGER, STUECKELBERG, THEORIES
 from .scenario import Scenario, parse_scenario
 from .svgplot import line_chart
@@ -252,6 +254,10 @@ def _read_trace_csv(path: Path) -> tuple:
                     raise bad(f"expected two numbers, got {row!r}") from exc
                 if not (math.isfinite(t) and math.isfinite(i)):
                     raise bad(f"expected two finite numbers, got {row!r}")
+                if times and t <= times[-1]:
+                    raise bad(f"time {t!r} does not come after {times[-1]!r}")
+                if i < 0:
+                    raise bad(f"intensity {i!r} is negative")
                 times.append(t)
                 intensity.append(i)
         except csv.Error as exc:  # such as a cell past csv.field_size_limit()
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fr = sub.add_parser("fringes", help="re-analyze an existing CSV trace")
     p_fr.add_argument("--trace", required=True, help="trace CSV path")
-    p_fr.add_argument("--threshold", type=float, default=0.1)
+    p_fr.add_argument("--threshold", type=float, default=THRESHOLD_FRACTION)
     p_fr.add_argument("--out", default="out")
     p_fr.set_defaults(func=cmd_fringes)
     return parser
@@ -341,20 +347,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ResolutionError as exc:
-        print(f"resolution error: {exc}", file=sys.stderr)
-        return EXIT_RESOLUTION
-    except (DomainError, NoFringes) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (IoError, OSError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    shown = set()
+
+    def show(message, *_):  # one line per distinct warning, no source line
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+    with warnings.catch_warnings():  # keeps the filters, restores showwarning
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except ResolutionError as exc:
+            print(f"resolution error: {exc}", file=sys.stderr)
+            return EXIT_RESOLUTION
+        except (DomainError, NoFringes) as exc:
+            print(f"domain error: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+        except (IoError, OSError) as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

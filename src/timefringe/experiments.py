@@ -38,6 +38,8 @@ from .propagation import (auto_output_grid, propagate_floquet,  # noqa
 # their spacing is 34 times the law's. Over L in {1.5, 2, 4} and eps in
 # 24..192, every case with V >= 0.024 is within 0.21 % of the law.
 MIN_INTERFERENCE_VISIBILITY = 0.05
+# a peak counts where the trace reaches this fraction of its window maximum
+THRESHOLD_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class TwoGateConfig:
     spatial_center: float = 0.0
     momentum: float = 0.2
     carrier_energy: float | None = None   # None: M c^2 + p^2 / 2M
-    s_override: float | None = None       # None: s* = M L / p0
+    s_elapsed: float | None = None        # None: s* = M L / p0
     detector_x: float | None = None       # None: flight_distance
     engine: str = CLOSED_FORM
 
@@ -77,8 +79,8 @@ class TwoGateConfig:
 
     @property
     def s_star(self) -> float:
-        if self.s_override is not None:
-            return self.s_override
+        if self.s_elapsed is not None:
+            return self.s_elapsed
         return self.flight_distance / self.momentum
 
     @property
@@ -268,7 +270,8 @@ def _median(values: np.ndarray) -> float:
     return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2)
 
 
-def extract_fringes(trace: IntensityTrace, threshold_fraction: float = 0.1,
+def extract_fringes(trace: IntensityTrace,
+                    threshold_fraction: float = THRESHOLD_FRACTION,
                     predicted_spacing: float | None = None) -> FringeReport:
     """Peak positions, fringe spacing and contrast inside the central
     envelope window |t - <t>| <= 1.5 sigma_t of the trace."""
@@ -313,8 +316,8 @@ def extract_fringes(trace: IntensityTrace, threshold_fraction: float = 0.1,
                         visibility=visibility, relative_error=rel)
 
 
-def outcome_fringes(outcome: TwoGateOutcome,
-                    threshold_fraction: float = 0.1) -> FringeReport:
+def outcome_fringes(outcome: TwoGateOutcome, threshold_fraction: float =
+                    THRESHOLD_FRACTION) -> FringeReport:
     """The fringes of a two-gate run. A covariant trace whose interference
     visibility is below MIN_INTERFERENCE_VISIBILITY has none: the peaks
     left in it are the gate envelopes."""
@@ -340,7 +343,7 @@ class ScanRow:
 
 
 def visibility_scan(theory: str, cfg: TwoGateConfig, values,
-                    threshold_fraction: float = 0.1,
+                    threshold_fraction: float = THRESHOLD_FRACTION,
                     param: str = "gate_spacing") -> list:
     """Two-gate run and fringe extraction per value of the config field
     param, in input order in the calling thread; per-row failures are

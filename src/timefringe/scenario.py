@@ -14,43 +14,30 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, DomainError, IoError
-from .experiments import TwoGateConfig
+from .experiments import DESK_SCALE, THRESHOLD_FRACTION, TwoGateConfig
 from .packets import GATE_PROFILES
-from .propagation import ENGINES, THEORIES
+from .propagation import ENGINES, STUECKELBERG, THEORIES
 from .units import MOMENTUM_MODELS, PhysicalSetup
 
-_SETUP_DEFAULTS = {
-    "wavelength_nm": 850.0,
-    "photon_count": 300,
-    "flight_distance_m": 0.01,
-    "momentum_model": "nonrelativistic",
-}
-_PACKET_DEFAULTS = {
-    "spatial_width": 5.0,
-    "spatial_center": 0.0,
-    "momentum": 0.2,
-    "carrier_energy": None,
-    "gate_width": 0.5,
-    "gate_spacing": 12.0,
-    "gate_profile": "gaussian",
-}
-_SIM_DEFAULTS = {"flight_distance": 2.0, "s_elapsed": None, "detector_x": None}
-_ANALYSIS_DEFAULTS = {"threshold_fraction": 0.1}
-
-_TOP_DEFAULTS = {
-    "theory": "stueckelberg",
-    "engine": "closed_form",
-    "setup": _SETUP_DEFAULTS,
-    "packet": _PACKET_DEFAULTS,
-    "sim": _SIM_DEFAULTS,
-    "analysis": _ANALYSIS_DEFAULTS,
-}
+# every default lives on PhysicalSetup and DESK_SCALE; a setup key names its
+# field in SI, and a packet or sim key is the TwoGateConfig field itself
+_SETUP_FIELDS = {"wavelength_nm": "wavelength", "photon_count": "photon_count",
+                 "flight_distance_m": "flight_distance_L",
+                 "momentum_model": "momentum_model"}
+_SETUP_DEFAULTS = {key: getattr(PhysicalSetup, name)
+                   for key, name in _SETUP_FIELDS.items()}
+_PACKET_DEFAULTS = {key: getattr(DESK_SCALE, key) for key in (
+    "spatial_width", "spatial_center", "momentum", "carrier_energy",
+    "gate_width", "gate_spacing", "gate_profile")}
+_SIM_DEFAULTS = {key: getattr(DESK_SCALE, key)
+                 for key in ("flight_distance", "s_elapsed", "detector_x")}
+_ANALYSIS_DEFAULTS = {"threshold_fraction": THRESHOLD_FRACTION}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    theory: str = "stueckelberg"
-    engine: str = "closed_form"
+    theory: str = STUECKELBERG
+    engine: str = DESK_SCALE.engine
     setup: dict = field(default_factory=lambda: dict(_SETUP_DEFAULTS))
     packet: dict = field(default_factory=lambda: dict(_PACKET_DEFAULTS))
     sim: dict = field(default_factory=lambda: dict(_SIM_DEFAULTS))
@@ -65,31 +52,15 @@ class Scenario:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def physical_setup(self) -> PhysicalSetup:
-        s = self.setup
         try:
-            return PhysicalSetup(
-                wavelength=s["wavelength_nm"],
-                photon_count=s["photon_count"],
-                flight_distance_L=s["flight_distance_m"],
-                momentum_model=s["momentum_model"])
+            return PhysicalSetup(**{name: self.setup[key]
+                                    for key, name in _SETUP_FIELDS.items()})
         except DomainError as exc:
             raise ConfigError(f"setup: {exc}") from exc
 
     def two_gate_config(self) -> TwoGateConfig:
-        p, sim = self.packet, self.sim
         try:
-            return TwoGateConfig(
-                flight_distance=sim["flight_distance"],
-                gate_spacing=p["gate_spacing"],
-                gate_width=p["gate_width"],
-                gate_profile=p["gate_profile"],
-                spatial_width=p["spatial_width"],
-                spatial_center=p["spatial_center"],
-                momentum=p["momentum"],
-                carrier_energy=p["carrier_energy"],
-                s_override=sim["s_elapsed"],
-                detector_x=sim["detector_x"],
-                engine=self.engine)
+            return TwoGateConfig(**self.packet, **self.sim, engine=self.engine)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -139,12 +110,12 @@ def _require_number(section: str, key: str, value, positive=False,
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a JSON object")
-    _reject_unknown("", raw, _TOP_DEFAULTS)
+    _reject_unknown("", raw, [f.name for f in fields(Scenario)])
 
-    theory = raw.get("theory", _TOP_DEFAULTS["theory"])
+    theory = raw.get("theory", Scenario.theory)
     if theory not in THEORIES:
         raise ConfigError(f"theory must be one of {THEORIES}, got {theory!r}")
-    engine = raw.get("engine", _TOP_DEFAULTS["engine"])
+    engine = raw.get("engine", Scenario.engine)
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
 

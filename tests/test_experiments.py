@@ -39,12 +39,12 @@ class TestTwoGateConfig:
         expected = 2 * math.pi * 2.0 / (0.2 * 12.0)
         assert cfg.predicted_spacing() == pytest.approx(expected, rel=1e-12)
         # T = 2 pi s / eps follows an overridden s, not M L / p
-        cfg = replace(DESK_SCALE, s_override=1000.0)
+        cfg = replace(DESK_SCALE, s_elapsed=1000.0)
         assert cfg.predicted_spacing() == pytest.approx(
             2 * math.pi * 1000.0 / 12.0, rel=1e-12)
 
     def test_overrides_take_precedence(self):
-        cfg = replace(DESK_SCALE, s_override=7.0, detector_x=1.3,
+        cfg = replace(DESK_SCALE, s_elapsed=7.0, detector_x=1.3,
                       carrier_energy=2.0)
         assert cfg.s_star == 7.0
         assert cfg.detector == 1.3

@@ -145,13 +145,21 @@ def reference_read(path):
             if not (math.isfinite(t) and math.isfinite(i)):
                 raise ConfigError(f"trace CSV line {reader.line_num}: expected"
                                   f" two finite numbers, got {row!r}")
+            if times and t <= times[-1]:
+                raise ConfigError(f"trace CSV line {reader.line_num}: time "
+                                  f"{t!r} does not come after {times[-1]!r}")
+            if i < 0:
+                raise ConfigError(f"trace CSV line {reader.line_num}: "
+                                  f"intensity {i!r} is negative")
             times.append(t)
             intensity.append(i)
     return np.asarray(times), np.asarray(intensity)
 
 
 HEADER = 't (internal time),"intensity (internal, |psi|^2)"'
-ROWS = ["-6.25,1.2057765329193035e-12", "0.1,3", "1e-320,0.30000000000000004"]
+# times increase, as the reader requires; the second row's comes after 0.5
+ROWS = ["-1e-320,1.2057765329193035e-12", "0.75,3",
+        "6.25,0.30000000000000004"]
 
 # (name, file text)
 PARSE_CASES = [
@@ -186,6 +194,11 @@ PARSE_CASES = [
     ("cr_inside_row", f"t,i\n0.5\r,1\n{ROWS[1]}\n"),
     ("cr_before_crlf", f"t,i\r\n{ROWS[0]}\r\r\n"),
     ("quoted_newline", f't,i\n"0.5\n",1\n{ROWS[1]}\n'),
+    ("repeated_time", f"t,i\n{ROWS[1]}\n{ROWS[1]}\n"),
+    ("earlier_time", f"t,i\n{ROWS[2]}\n{ROWS[0]}\n"),
+    ("negative_zero_after_zero", "t,i\n0,1\n-0.0,1\n"),
+    ("negative_intensity", f"t,i\n{ROWS[0]}\n1,-1e-320\n"),
+    ("negative_zero_intensity", f"t,i\n{ROWS[0]}\n1,-0.0\n"),
 ]
 
 

@@ -2,18 +2,20 @@ import csv
 import json
 import math
 import threading
+import warnings
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timefringe import experiments
+from timefringe import cli, experiments
 from timefringe.cli import main
 from timefringe.errors import ConfigError, IoError
-from timefringe.experiments import MIN_INTERFERENCE_VISIBILITY
+from timefringe.experiments import DESK_SCALE, MIN_INTERFERENCE_VISIBILITY
 from timefringe.propagation import MAX_AXIS_SAMPLES
 from timefringe.scenario import Scenario, parse_scenario, scenario_from_dict
+from timefringe.units import PhysicalSetup
 
 
 _NUMBER_FIELDS = [
@@ -84,6 +86,10 @@ class TestScenarioSchema:
                     in text)
         assert ("scenario-sha256:5ecc5ebb19ba440b"
                 in (tmp_path / "simulate" / "trace.svg").read_text())
+
+    def test_defaults_are_the_configs_defaults(self):
+        assert Scenario().two_gate_config() == DESK_SCALE
+        assert Scenario().physical_setup() == PhysicalSetup()
 
     def test_echo_sections_are_copies(self):
         sc = Scenario()
@@ -575,6 +581,25 @@ class TestCliSimulate:
         assert main(["simulate", "--scenario", str(sc),
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_each_warning_is_one_line(self, tmp_path, capsys):
+        # overlapping gates warn once per run, not once per scan row, and
+        # stderr names no source file or line
+        assert run_one_key(tmp_path, "simulate", "packet", "gate_spacing",
+                           0.3, "--theory", "floquet") == 0
+        assert main(["scan", "--param", "gate_spacing", "--values",
+                     "0.2,0.3,0.4", "--theory", "floquet",
+                     "--out", str(tmp_path / "scan")]) == 0
+        line = ("warning: gates are wider than their spacing: "
+                "overlapping-gate regime\n")
+        assert capsys.readouterr().err == line + line
+
+    def test_warning_filters_still_apply(self, tmp_path, monkeypatch):
+        def run(theory, cfg):
+            warnings.warn("overflow", RuntimeWarning)
+        monkeypatch.setattr(cli, "two_gate_run", run)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            main(["simulate", "--out", str(tmp_path / "out")])
+
     def test_missing_scenario_is_io_error(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 5
@@ -684,6 +709,35 @@ class TestCliFringes:
         assert main(["fringes", "--trace", str(trace),
                      "--out", str(tmp_path / "out")]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows,named", [
+        ("0,1\n1,2\n1,3\n", "line 4: time 1.0 does not come after 1.0"),
+        ("0,1\n1,2\n0.5,3\n", "line 4: time 0.5 does not come after 1.0"),
+        ("0,1\n1,-2\n2,1\n", "line 3: intensity -2.0 is negative")],
+        ids=["repeated_time", "earlier_time", "negative_intensity"])
+    def test_unordered_time_or_negative_intensity_is_config_error(
+            self, tmp_path, capsys, rows, named):
+        # before any output directory is made
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,intensity\n" + rows)
+        out = tmp_path / "out"
+        assert main(["fringes", "--trace", str(trace),
+                     "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_threshold_is_the_scenarios(self, tmp_path, monkeypatch):
+        used = []
+
+        def spy(trace, threshold_fraction):
+            used.append(threshold_fraction)
+            return extract(trace, threshold_fraction)
+        extract = cli.extract_fringes
+        monkeypatch.setattr(cli, "extract_fringes", spy)
+        assert main(["simulate", "--out", str(tmp_path / "sim")]) == 0
+        assert main(["fringes", "--trace", str(tmp_path / "sim" / "trace.csv"),
+                     "--out", str(tmp_path / "fr")]) == 0
+        assert used == [Scenario().analysis["threshold_fraction"]]
 
     @pytest.mark.parametrize("value", ["1.5", "-1", "nan"])
     def test_threshold_outside_unit_interval_is_config_error(
