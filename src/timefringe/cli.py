@@ -16,7 +16,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, DomainError, IoError, NoFringes,
                      ResolutionError)
-from .estimates import compare_estimates, report_to_dict
+from .estimates import compare_estimates
 from .experiments import (SCAN_PARAMS, THRESHOLD_FRACTION, IntensityTrace,
                           extract_fringes, outcome_fringes, two_gate_run,
                           visibility_scan)
@@ -114,8 +114,8 @@ def cmd_estimate(args) -> int:
         "command": "estimate",
         "scenario": echo,
         "scenario_hash": _scenario_hash(echo),
-        "crude": report_to_dict(crude),
-        "covariant": report_to_dict(covariant),
+        "crude": asdict(crude),
+        "covariant": asdict(covariant),
         "ratio": result["ratio"],
         "quoted_cp_ev": result["quoted_cp_ev"],
         "covariant_product_from_quoted_cp": result["covariant_product_from_quoted_cp"],
@@ -315,25 +315,25 @@ def build_parser() -> argparse.ArgumentParser:
                         "(defaults to the built-in desk-scale scenario)")
     common.add_argument("--out", default="out", help="output directory")
 
+    run = argparse.ArgumentParser(add_help=False)  # simulate and scan
+    run.add_argument("--engine", choices=ENGINES)
+    run.add_argument("--theory", choices=THEORIES)
+
     p_est = sub.add_parser("estimate", parents=[common],
                            help="closed-form eps*T prediction chain")
     p_est.set_defaults(func=cmd_estimate)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[common, run],
                            help="run the two-gate experiment")
-    p_sim.add_argument("--engine", choices=ENGINES)
-    p_sim.add_argument("--theory", choices=THEORIES)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_scan = sub.add_parser("scan", parents=[common],
+    p_scan = sub.add_parser("scan", parents=[common, run],
                             help="scan a parameter and tabulate fringes")
     p_scan.add_argument("--param", required=True, choices=SCAN_PARAMS)
     p_scan.add_argument("--values", required=True,
                         help="comma-separated values")
     p_scan.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; starts no threads")
-    p_scan.add_argument("--engine", choices=ENGINES)
-    p_scan.add_argument("--theory", choices=THEORIES)
     p_scan.set_defaults(func=cmd_scan)
 
     p_fr = sub.add_parser("fringes", help="re-analyze an existing CSV trace")

@@ -14,12 +14,12 @@ Both sides of each discrepancy are computed and reported, never forced.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .units import (C_M_PER_S, ELECTRON_MASS_KG, EV_TO_JOULE, HBAR_JS,
-                    PhysicalSetup, kinetic_from_photons, momentum_from_kinetic,
-                    photon_energy)
+                    SETUP_FIELDS, PhysicalSetup, kinetic_from_photons,
+                    momentum_from_kinetic, photon_energy)
 
 STUECKELBERG_EQ = "stueckelberg_diffraction"
 CRUDE_EQ = "crude_nonrelativistic"
@@ -56,10 +56,7 @@ def crude_nonrelativistic_product(L: float, e_kin_ev: float) -> float:
 
 def _report(product: float, setup: PhysicalSetup, formula: str,
             extra: dict) -> EstimateReport:
-    echo = {"wavelength_nm": setup.wavelength,
-            "photon_count": setup.photon_count,
-            "flight_distance_m": setup.flight_distance_L,
-            "momentum_model": setup.momentum_model}
+    echo = {key: getattr(setup, name) for key, name in SETUP_FIELDS.items()}
     echo.update(extra)
     return EstimateReport(epsilon_T_product=product,
                           equal_spacing_T=math.sqrt(product),
@@ -113,7 +110,3 @@ def compare_estimates(setup: PhysicalSetup) -> dict:
         "covariant_product_from_quoted_cp": stueckelberg_product(
             setup.flight_distance_L, QUOTED_CP_EV),
     }
-
-
-def report_to_dict(report: EstimateReport) -> dict:
-    return asdict(report)

@@ -281,6 +281,8 @@ def extract_fringes(trace: IntensityTrace,
         raise DomainError("threshold_fraction must be in (0, 1)")
     t = np.asarray(trace.times, dtype=float)
     y = np.asarray(trace.intensity, dtype=float)
+    # a power of two scales exactly, and keeps the sums below finite
+    y = np.ldexp(y, -math.frexp(float(y.max()))[1])
     total = float(y.sum())
     if total <= 0:
         raise NoFringes("trace carries no intensity")

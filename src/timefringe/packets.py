@@ -145,7 +145,8 @@ class Grid1D:
 
     def __post_init__(self):
         if self.n_x < 2 or self.x_max <= self.x_min:
-            raise DomainError("Grid1D needs n_x >= 2 and x_max > x_min")
+            raise DomainError(f"{type(self).__name__} needs n_x >= 2 and "
+                              "x_max > x_min")
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -157,31 +158,19 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class Grid2D:
-    x_min: float
-    x_max: float
-    n_x: int
+class Grid2D(Grid1D):
     t_min: float
     t_max: float
     n_t: int
 
     def __post_init__(self):
-        if self.n_x < 2 or self.n_t < 2:
-            raise DomainError("Grid2D needs n_x, n_t >= 2")
-        if self.x_max <= self.x_min or self.t_max <= self.t_min:
-            raise DomainError("Grid2D needs max > min on both axes")
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return _axis(self.x_min, self.x_max, self.n_x)
+        super().__post_init__()
+        if self.n_t < 2 or self.t_max <= self.t_min:
+            raise DomainError("Grid2D needs n_t >= 2 and t_max > t_min")
 
     @cached_property
     def t(self) -> np.ndarray:
         return _axis(self.t_min, self.t_max, self.n_t)
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_x - 1)
 
     @property
     def dt(self) -> float:

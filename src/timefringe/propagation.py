@@ -170,7 +170,6 @@ class PropagationResult:
     grid: object                 # Grid1D or Grid2D
     norm_before: float
     norm_after: float
-    engine: str
     temporal: tuple = ()
 
     @property
@@ -301,29 +300,6 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
     return values, float(w_in @ np.abs(sum(values_in)) ** 2), after
 
 
-def _spatial_factor(spatial: GaussianSpatialPacket,
-                    moved: GaussianComponent1D, x, s: float,
-                    engine: str) -> tuple:
-    """X at x, a point or a uniform axis, after spreading with mass M for s
-    (moved: the spatial component so spread), and a function returning its
-    norm^2 before and after. At a point, the closed form bounds its rounding
-    over the automatic x range, and quadrature takes the norm on the
-    automatic x axis."""
-    point = not isinstance(x, np.ndarray)
-    if engine == CLOSED_FORM:
-        (values,), norms = _closed_form_axis(
-            lambda: [spatial_component(spatial)], [moved], x,
-            *(_padded_range([moved]) if point else (x[0], x[-1])))
-        return values, norms
-    pad = INPUT_PAD_SIGMAS * spatial.width_sigma_x  # the input x range
-    (values,), before, after = _quadrature_axis(
-        lambda u: [spatial.amplitude(u)],
-        _axis(*_output_x(moved)) if point else x, spatial.center_x - pad,
-        spatial.center_x + pad, 513, 1.0, s, abs(spatial.mean_momentum_p0),
-        "x", x if point else None)
-    return values, lambda: (before, after)
-
-
 def _padded_range(comps: list) -> tuple:
     """(lo, hi) covering the intensities of the components."""
     lo = min(cp.intensity_mean - OUTPUT_PAD_SIGMAS * cp.intensity_sigma
@@ -333,15 +309,60 @@ def _padded_range(comps: list) -> tuple:
     return lo, hi
 
 
-def _output_x(moved: GaussianComponent1D) -> tuple:
-    """(lo, hi, n) of the automatic x axis: the padded range of the spread
-    spatial intensity, sampled as every output axis is (axis_samples)."""
-    lo, hi = _padded_range([moved])
-    return lo, hi, axis_samples(hi - lo, moved.intensity_sigma,
-                                "a spatial intensity of width", "x")
+def _auto_axis(spread: list, axis: str) -> tuple:
+    """(lo, hi, n) of the automatic axis of the spread Gaussian components:
+    their padded range, sampled (axis_samples) per the narrowest feature of
+    the intensity of their sum. That is the narrowest intensity sigma or the
+    period 2 pi / |Im(b_j - b_k)| of the cross terms, whichever is shorter;
+    the phase of f_j conj(f_k) is exactly linear in u for components of one
+    width, and a chirp common to all of them cancels in the intensity."""
+    lo, hi = _padded_range(spread)
+    rates = [float(cp.b.imag) for cp in spread]
+    beat = max(rates) - min(rates)
+    period = 2.0 * math.pi / beat if beat else math.inf
+    return lo, hi, axis_samples(
+        hi - lo, min(period, *(cp.intensity_sigma for cp in spread)),
+        "intensity features of width", axis)
+
+
+def _output_axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
+    """The n uniform samples of the automatic name axis [lo, hi]."""
+    if not lo < hi:
+        raise DomainError(f"the {name} axis [{lo:g}, {hi:g}] has no width in "
+                          "floating point")
+    return _axis(lo, hi, n)
 
 
 # ---------------------------------------------------------------- Schrodinger
+
+def _spatial_factor(spatial: GaussianSpatialPacket, s: float, engine: str,
+                    x=None) -> tuple:
+    """X after spreading with mass M for s: its values at x, a point of the
+    automatic x range or a uniform axis (the automatic one when None); that
+    range; and a function returning its norm^2 before and after. At a point,
+    the closed form bounds its rounding over the range, and quadrature takes
+    the Simpson kernel sum there and the norm on the automatic axis."""
+    moved = propagate_component(spatial_component(spatial), 1.0, s)
+    lo, hi = _padded_range([moved])
+    if x is None:
+        x = _output_axis(*_auto_axis([moved], "x"), "x")
+    elif not isinstance(x, np.ndarray) and not lo <= x <= hi:
+        raise DomainError(f"detector_x = {x:g} lies outside the x range "
+                          f"[{lo:g}, {hi:g}] of the spread packet")
+    point = not isinstance(x, np.ndarray)
+    if engine == CLOSED_FORM:
+        (values,), norms = _closed_form_axis(
+            lambda: [spatial_component(spatial)], [moved], x,
+            *((lo, hi) if point else (x[0], x[-1])))
+        return values, (lo, hi), norms
+    pad = INPUT_PAD_SIGMAS * spatial.width_sigma_x  # the input x range
+    (values,), before, after = _quadrature_axis(
+        lambda u: [spatial.amplitude(u)],
+        _output_axis(*_auto_axis([moved], "x"), "x") if point else x,
+        spatial.center_x - pad, spatial.center_x + pad, 513, 1.0, s,
+        abs(spatial.mean_momentum_p0), "x", x if point else None)
+    return values, (lo, hi), lambda: (before, after)
+
 
 def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
                           engine: str = CLOSED_FORM,
@@ -351,81 +372,56 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
         raise DomainError("t_elapsed must be >= 0")
     if engine not in ENGINES:
         raise DomainError(f"engine must be one of {ENGINES}")
-    comp = spatial_component(packet)
-    moved = propagate_component(comp, 1.0, t_elapsed) if t_elapsed else comp
-    if grid is None:
-        grid = Grid1D(*_output_x(moved))
     if t_elapsed == 0.0:
+        comp = spatial_component(packet)
+        grid = grid or Grid1D(*_auto_axis([comp], "x"))
         field = comp(grid.x)
         n2 = float(simpson_weights(grid.n_x, grid.dx) @ np.abs(field) ** 2)
         return PropagationResult(spatial=field, grid=grid, norm_before=n2,
-                                 norm_after=n2, engine=engine)
-    spatial, norms = _spatial_factor(packet, moved, grid.x, t_elapsed, engine)
+                                 norm_after=n2)
+    spatial, (lo, hi), norms = _spatial_factor(packet, t_elapsed, engine,
+                                               grid.x if grid else None)
     n_before, n_after = norms()
-    return PropagationResult(spatial=spatial, grid=grid, norm_before=n_before,
-                             norm_after=n_after, engine=engine)
+    return PropagationResult(spatial=spatial,
+                             grid=grid or Grid1D(lo, hi, len(spatial)),
+                             norm_before=n_before, norm_after=n_after)
 
 
 # -------------------------------------------------------- Floquet/Stueckelberg
 
-def _time_axis(packet: SpacetimePacket, mu_t: float | None, s: float) -> tuple:
-    """(lo, hi, n) of the automatic time axis and the gate components spread
-    by s (none under the time shift). The axis samples the narrowest feature
-    of the temporal intensity. That is the gate width under the time shift.
-    Under covariant spreading it is the spread envelope's sigma or the fringe
-    period 2 pi / |Im(b_j - b_k)| of the cross terms, whichever is shorter;
-    the phase of T_j conj(T_k) is exactly linear in t for gates of one
-    width. The chirp common to all gates cancels in the intensity."""
-    if mu_t is None:
-        lo = min(g.center_t - 1.25 * OUTPUT_PAD_SIGMAS * g.width_delta_t
-                 for g in packet.gates) + s
-        hi = max(g.center_t + 1.25 * OUTPUT_PAD_SIGMAS * g.width_delta_t
-                 for g in packet.gates) + s
-        spread = []
-        n = axis_samples(hi - lo, min(g.width_delta_t for g in packet.gates),
-                         "gates of width")
-    else:
-        spread = [propagate_component(gate_component(
-            g, packet.mean_energy_E0), mu_t, s) for g in packet.gates]
-        lo, hi = _padded_range(spread)
-        rates = [float(cp.b.imag) for cp in spread]
-        beat = max(rates) - min(rates)
-        period = 2.0 * math.pi / beat if beat else math.inf
-        n = axis_samples(hi - lo,
-                         min(period, *(cp.intensity_sigma for cp in spread)),
-                         "intensity features of width")
-    if not lo < hi:
-        raise DomainError(f"the time axis [{lo:g}, {hi:g}] has no width in "
-                          "floating point")
-    return lo, hi, n, spread
-
-
-def auto_output_grid(packet: SpacetimePacket, theory: str,
-                     s: float) -> Grid2D:
-    """Grid covering the propagated envelope; each axis samples the
-    narrowest feature of its intensity (_output_x, _time_axis)."""
+def _temporal_factor(packet: SpacetimePacket, theory: str, s: float,
+                     engine: str, t=None) -> tuple:
+    """The gate terms T_k after propagation by s under theory, on the time
+    axis t (the automatic one when None); t; and a function returning the
+    norm^2 of their sum before and after. This is the time rule: each gate
+    is shifted rigidly by s (exact under either engine), and the axis
+    samples the gate width; or it is spread with mass -M c^2, and the axis
+    samples the spread intensity (_auto_axis). In closed form the unspread
+    gates are built again only when the norms are read."""
     mu_t = time_mass(theory)
-    moved = propagate_component(spatial_component(packet.spatial), 1.0, s)
-    lo_t, hi_t, n_t, _ = _time_axis(packet, mu_t, s)
-    return Grid2D(*_output_x(moved), lo_t, hi_t, n_t)
-
-
-def _temporal_factor(packet: SpacetimePacket, mu_t: float | None, s: float,
-                     engine: str, t: np.ndarray, spread: list = ()) -> tuple:
-    """The gate terms T_k on the time axis t after propagation by s, and a
-    function returning the norm^2 of their sum before and after. Each gate
-    is shifted rigidly by s (exact under either engine) or spread with mass
-    -M c^2; in closed form, spread may hold them already spread by s, and
-    the unspread gates are built only when the norms are read."""
     if mu_t is None:
-        return (packet.gate_terms(t - s),
+        if t is None:
+            pad = 1.25 * OUTPUT_PAD_SIGMAS
+            lo = min(g.center_t - pad * g.width_delta_t
+                     for g in packet.gates) + s
+            hi = max(g.center_t + pad * g.width_delta_t
+                     for g in packet.gates) + s
+            t = _output_axis(lo, hi, axis_samples(
+                hi - lo, min(g.width_delta_t for g in packet.gates),
+                "gates of width"), "time")
+        return (packet.gate_terms(t - s), t,
                 lambda: (packet.temporal_norm2(),) * 2)
+
+    def gates() -> list:
+        return [gate_component(g, packet.mean_energy_E0)
+                for g in packet.gates]
+    spread = ([propagate_component(g, mu_t, s) for g in gates()]
+              if engine == CLOSED_FORM or t is None else [])
+    if t is None:
+        t = _output_axis(*_auto_axis(spread, "t"), "time")
     if engine == CLOSED_FORM:
-        def gates() -> list:
-            return [gate_component(g, packet.mean_energy_E0)
-                    for g in packet.gates]
-        spread = spread or [propagate_component(g, mu_t, s) for g in gates()]
-        return _closed_form_axis(gates, spread, t, t[0], t[-1])
+        values, norms = _closed_form_axis(gates, spread, t, t[0], t[-1])
+        return values, t, norms
     lo = min(g.center_t - INPUT_PAD_SIGMAS * g.width_delta_t
              for g in packet.gates)
     hi = max(g.center_t + INPUT_PAD_SIGMAS * g.width_delta_t
@@ -433,39 +429,31 @@ def _temporal_factor(packet: SpacetimePacket, mu_t: float | None, s: float,
     values, before, after = _quadrature_axis(
         packet.gate_terms, t, lo, hi, 513, mu_t, s,
         abs(packet.mean_energy_E0), "t")
-    return values, lambda: (before, after)
+    return values, t, lambda: (before, after)
+
+
+def auto_output_grid(packet: SpacetimePacket, theory: str,
+                     s: float) -> Grid2D:
+    """The grid propagate_spacetime builds when given none: t from the time
+    rule (_temporal_factor), x from _auto_axis."""
+    _, t, _ = _temporal_factor(packet, theory, s, CLOSED_FORM)
+    moved = propagate_component(spatial_component(packet.spatial), 1.0, s)
+    return Grid2D(*_auto_axis([moved], "x"), t[0], t[-1], len(t))
 
 
 def read_field(packet: SpacetimePacket, theory: str, s: float, engine: str,
                x=None, t=None) -> tuple:
     """The field X(x) sum_k T_k(t) of packet propagated by s under theory, in
-    factored form: X at x, a point of the automatic x range or a uniform axis
-    (the automatic one when None); that range; the time axis t (the automatic
-    one when None); the T_k on it; and a function returning the norm^2
-    before and after. The spatial factor spreads with mass M under both
-    theories, and each gate is either shifted rigidly by s or spread with
-    mass -M c^2. In closed form, a point read spreads each Gaussian once and
-    builds no x axis; by quadrature, X at a point is the Simpson kernel sum
-    there."""
-    mu_t = time_mass(theory)
-    moved = propagate_component(spatial_component(packet.spatial), 1.0, s)
-    lo_x, hi_x = _padded_range([moved])
-    spread = ()
-    if t is None:
-        lo_t, hi_t, n_t, spread = _time_axis(packet, mu_t, s)
-        t = _axis(lo_t, hi_t, n_t)
-    if x is None:
-        x = _axis(*_output_x(moved))
-    elif not isinstance(x, np.ndarray) and not lo_x <= x <= hi_x:
-        raise DomainError(f"detector_x = {x:g} lies outside the x range "
-                          f"[{lo_x:g}, {hi_x:g}] of the spread packet")
-    spatial, x_norms = _spatial_factor(packet.spatial, moved, x, s, engine)
-    temporal, t_norms = _temporal_factor(packet, mu_t, s, engine, t, spread)
+    factored form: X at x (_spatial_factor); the x range; the time axis t
+    and the T_k on it (_temporal_factor); and a function returning the
+    norm^2 before and after."""
+    temporal, t, t_norms = _temporal_factor(packet, theory, s, engine, t)
+    spatial, x_range, x_norms = _spatial_factor(packet.spatial, s, engine, x)
 
     def norms() -> tuple:
         (x_before, x_after), (t_before, t_after) = x_norms(), t_norms()
         return x_before * t_before, x_after * t_after
-    return spatial, (lo_x, hi_x), t, temporal, norms
+    return spatial, x_range, t, temporal, norms
 
 
 def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
@@ -484,7 +472,7 @@ def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
     return PropagationResult(
         spatial=spatial, temporal=tuple(temporal),
         grid=grid or Grid2D(lo_x, hi_x, len(spatial), t[0], t[-1], len(t)),
-        norm_before=before, norm_after=after, engine=engine)
+        norm_before=before, norm_after=after)
 
 
 def propagate_floquet(packet: SpacetimePacket, delta_s: float,

@@ -17,15 +17,12 @@ from .errors import ConfigError, DomainError, IoError
 from .experiments import DESK_SCALE, THRESHOLD_FRACTION, TwoGateConfig
 from .packets import GATE_PROFILES
 from .propagation import ENGINES, STUECKELBERG, THEORIES
-from .units import MOMENTUM_MODELS, PhysicalSetup
+from .units import MOMENTUM_MODELS, SETUP_FIELDS, PhysicalSetup
 
 # every default lives on PhysicalSetup and DESK_SCALE; a setup key names its
 # field in SI, and a packet or sim key is the TwoGateConfig field itself
-_SETUP_FIELDS = {"wavelength_nm": "wavelength", "photon_count": "photon_count",
-                 "flight_distance_m": "flight_distance_L",
-                 "momentum_model": "momentum_model"}
 _SETUP_DEFAULTS = {key: getattr(PhysicalSetup, name)
-                   for key, name in _SETUP_FIELDS.items()}
+                   for key, name in SETUP_FIELDS.items()}
 _PACKET_DEFAULTS = {key: getattr(DESK_SCALE, key) for key in (
     "spatial_width", "spatial_center", "momentum", "carrier_energy",
     "gate_width", "gate_spacing", "gate_profile")}
@@ -54,7 +51,7 @@ class Scenario:
     def physical_setup(self) -> PhysicalSetup:
         try:
             return PhysicalSetup(**{name: self.setup[key]
-                                    for key, name in _SETUP_FIELDS.items()})
+                                    for key, name in SETUP_FIELDS.items()})
         except DomainError as exc:
             raise ConfigError(f"setup: {exc}") from exc
 

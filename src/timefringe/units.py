@@ -45,6 +45,12 @@ class PhysicalSetup:
             raise DomainError(f"momentum_model must be one of {MOMENTUM_MODELS}")
 
 
+# the scenario's setup keys, which name the units, and the field each sets
+SETUP_FIELDS = {"wavelength_nm": "wavelength", "photon_count": "photon_count",
+                "flight_distance_m": "flight_distance_L",
+                "momentum_model": "momentum_model"}
+
+
 def photon_energy(wavelength: float) -> float:
     """Photon energy in eV for a wavelength in nm."""
     if wavelength <= 0:

@@ -486,6 +486,25 @@ def test_automatic_x_axis_samples_the_intensity_sigma(flight):
         assert (grid.n_x - 1) * sigma / span > SAMPLES_PER_FEATURE - 0.1
 
 
+@settings(max_examples=40, deadline=None)
+@given(eps=st.floats(0.0, 48.0), flight=st.floats(1.0, 50.0),
+       width=st.floats(0.2, 2.0), momentum=st.floats(0.05, 0.5),
+       theory=st.sampled_from([FLOQUET, STUECKELBERG]))
+@pytest.mark.filterwarnings("ignore::timefringe.errors.OverlapWarning")
+def test_auto_output_grid_is_the_runs_grid(eps, flight, width, momentum,
+                                           theory):
+    # one time rule sizes the trace, the grid and the field: a run's trace
+    # times are the automatic t axis, and x takes 157 samples at every L
+    cfg = replace(DESK_SCALE, gate_spacing=eps, flight_distance=flight,
+                  gate_width=width, momentum=momentum)
+    packet, s = build_packet(cfg), cfg.s_star
+    grid = auto_output_grid(packet, theory, s)
+    times = two_gate_run(theory, cfg).trace.times
+    assert np.array_equal(grid.t.view(np.int64), times.view(np.int64))
+    assert grid.n_x == 157
+    assert propagate_spacetime(packet, theory, s).grid == grid
+
+
 def planted_trace(period=0.5, n=4001, center=10.0, envelope_sigma=3.0):
     t = np.linspace(center - 10.0, center + 10.0, n)
     envelope = np.exp(-((t - center) ** 2) / (2 * envelope_sigma**2))
@@ -629,6 +648,18 @@ class TestExtractFringes:
             assert pb == pytest.approx(pa, rel=1e-12, abs=1e-12)
         assert b.spacing_T == pytest.approx(a.spacing_T, rel=1e-12)
         assert b.visibility == pytest.approx(a.visibility, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1.0, 2.0**1000, 1e307])
+    def test_peaks_are_exact_under_power_of_two_rescaling(self, scale):
+        # the sums are taken on the trace scaled by a power of two; at 1e305
+        # and above they used to overflow, and no fringes were found
+        trace = planted_trace()
+        scaled = IntensityTrace(times=trace.times,
+                                intensity=scale * trace.intensity,
+                                detector_x=0.0, theory="synthetic")
+        got = extract_fringes(scaled).peak_times
+        assert len(got) == 17
+        assert got == extract_fringes(trace).peak_times
 
     def test_full_contrast_cosine(self):
         report = extract_fringes(planted_trace())

@@ -5,6 +5,7 @@ import threading
 import warnings
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -391,6 +392,17 @@ class TestCliSimulate:
                      "--out", str(tmp_path / "out")])
         assert code == 4
 
+    @pytest.mark.parametrize("theory,engine,momentum", [
+        ("floquet", "closed_form", 1e-300), ("floquet", "quadrature", 1e-300),
+        ("stueckelberg", "quadrature", 1e100)])
+    def test_time_axis_fails_first(self, tmp_path, capsys, theory, engine,
+                                   momentum):
+        # both axes fail; the time rule runs first and names the time axis
+        assert run_one_key(tmp_path, "simulate", "packet", "momentum",
+                           momentum, "--theory", theory,
+                           "--engine", engine) == 4
+        assert "the time axis" in capsys.readouterr().err
+
     def test_below_visibility_floor_is_domain_error(self, tmp_path, capsys):
         # at eps = 96, L = 2 the automatic grid resolves the fringes, but
         # the gates barely overlap: V = 0.0063, and no file is written
@@ -750,6 +762,22 @@ class TestCliFringes:
                      "--out", str(out)]) == 2
         assert "--threshold must be in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_reads_a_trace_near_the_float_maximum(self, tmp_path, capsys):
+        # the planted cosine of extract_fringes' tests at a peak of 2e307
+        t = np.linspace(0.0, 20.0, 4001)
+        y = 1e307 * np.exp(-((t - 10.0) ** 2) / 18.0) * (
+            1.0 + np.cos(2.0 * np.pi * (t - 10.0) / 0.5))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,intensity\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), y.tolist())))
+        out = tmp_path / "out"
+        assert main(["fringes", "--trace", str(trace),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["peak_times"]) == 17
+        assert report["spacing_T"] == pytest.approx(0.5, abs=1e-2)
+        assert capsys.readouterr().err == ""
 
     def test_missing_trace_is_io_error(self, tmp_path):
         assert main(["fringes", "--trace", str(tmp_path / "nope.csv"),
