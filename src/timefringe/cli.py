@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -32,6 +31,16 @@ from .propagation import ENGINES, SCHRODINGER, STUECKELBERG, THEORIES
 from .scenario import Scenario, parse_scenario
 from .svgplot import line_chart
 
+# CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib maps
+# OpenSSL's libcrypto, 3.3 MB resident and 3 ms of import, for one digest
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOLUTION = 3
@@ -46,8 +55,8 @@ _SCAN_HEADERS = {"gate_spacing": "gate_spacing epsilon (internal time)",
 
 def _scenario_hash(echo: dict) -> str:
     """The hash of a scenario echo, Scenario.to_dict(): that of to_json()."""
-    return hashlib.sha256(json.dumps(echo, indent=2, sort_keys=True)
-                          .encode()).hexdigest()[:16]
+    return sha256(json.dumps(echo, indent=2, sort_keys=True)
+                  .encode()).hexdigest()[:16]
 
 
 def _load_scenario(args) -> Scenario:
@@ -159,7 +168,7 @@ def cmd_simulate(args) -> int:
         "scenario": echo,
         "scenario_hash": shash,
         "theory": scenario.theory,
-        "engine": scenario.engine,
+        "engine": outcome.engine,
         "s_elapsed": outcome.s_elapsed,
         "detector_x": outcome.trace.detector_x,
         "interference_visibility": outcome.interference_visibility,

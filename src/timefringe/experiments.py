@@ -150,6 +150,9 @@ class IntensityTrace:
     def __post_init__(self):
         if len(self.times) != len(self.intensity):
             raise DomainError("times and intensity lengths differ")
+        if not (np.isfinite(self.times).all()
+                and np.isfinite(self.intensity).all()):
+            raise DomainError("trace times and intensities must be finite")
         if (self.times[1:] <= self.times[:-1]).any():
             raise DomainError("times must be strictly increasing")
         if (self.intensity < 0).any():
@@ -171,6 +174,7 @@ class TwoGateOutcome:
     interference_visibility: float
     s_elapsed: float
     predicted_spacing: float | None
+    engine: str  # the engine that ran
     drift: Callable[[], float] = field(default=lambda: 0.0, repr=False,
                                        compare=False)
 
@@ -231,10 +235,13 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
             f"{cfg.flight_distance:g} and momentum = {cfg.momentum:g}")
 
     if theory == SCHRODINGER:
+        if cfg.engine != CLOSED_FORM:
+            warnings.warn(f"{SCHRODINGER} has no {cfg.engine} path: it runs "
+                          f"in {CLOSED_FORM}", stacklevel=2)
         trace, inc = _schrodinger_control_traces(cfg)
         return TwoGateOutcome(trace=trace, incoherent_trace=inc,
                               interference_visibility=0.0, s_elapsed=s,
-                              predicted_spacing=None)
+                              predicted_spacing=None, engine=CLOSED_FORM)
 
     packet = build_packet(cfg)
     predicted = (cfg.predicted_spacing() if theory == STUECKELBERG
@@ -260,7 +267,8 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
         return abs(after - before) / before
     return TwoGateOutcome(trace=trace, incoherent_trace=inc_trace,
                           interference_visibility=visibility, s_elapsed=s,
-                          predicted_spacing=predicted, drift=drift)
+                          predicted_spacing=predicted, engine=cfg.engine,
+                          drift=drift)
 
 
 def _median(values: np.ndarray) -> float:

@@ -80,7 +80,12 @@ class SpacetimePacket:
     def gate_terms(self, t) -> list:
         """Each gate's envelope times the carrier; they sum to gate_sum."""
         t = np.asarray(t, dtype=float)
-        carrier = np.exp(-1j * self.mean_energy_E0 * t)
+        with np.errstate(over="ignore"):
+            phase = self.mean_energy_E0 * t
+        if not np.isfinite(phase).all():
+            raise DomainError(f"the carrier phase E0 t leaves the float "
+                              f"range: E0 = {self.mean_energy_E0:g}")
+        carrier = np.exp(-1j * phase)
         return [g.envelope(t) * carrier for g in self.gates]
 
     def gate_sum(self, t):

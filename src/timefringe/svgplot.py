@@ -8,6 +8,7 @@ identical inputs give byte-identical files.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +17,22 @@ WIDTH, HEIGHT = 900, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 
 
+def _unit(lo: float, hi: float) -> float:
+    """The unit an axis is charted in: 1, or 4 where its data reach past a
+    quarter of the float maximum, so that its span and padding stay
+    finite. Dividing by 4 is exact, so the picture is the same."""
+    return 4.0 if max(-lo, hi) > sys.float_info.max / 4 else 1.0
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
 def _ticks(lo: float, hi: float, target: int = 8) -> list:
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / target
+    if raw <= 0:  # also a span too narrow to divide
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw),
                default=10.0) * mag
@@ -33,6 +41,8 @@ def _ticks(lo: float, hi: float, target: int = 8) -> list:
     v = first
     while v <= hi + 1e-12 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + step == v:  # the step is below the float spacing at v
+            break
         v += step
     return ticks
 
@@ -45,11 +55,16 @@ def line_chart(path, x, y, peaks=None, title: str = "",
     y = np.asarray(y, dtype=float)
     x_lo, x_hi = float(x.min()), float(x.max())
     y_lo, y_hi = float(y.min()), float(y.max())
+    x_unit, y_unit = _unit(x_lo, x_hi), _unit(y_lo, y_hi)
+    x, x_lo, x_hi = x / x_unit, x_lo / x_unit, x_hi / x_unit
+    y, y_lo, y_hi = y / y_unit, y_lo / y_unit, y_hi / y_unit
+    peaks = [p / x_unit for p in peaks or ()]
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    # the padded range ends where a tick label, in the data's unit, is finite
+    y_lo = max(y_lo - pad, -sys.float_info.max / y_unit)
+    y_hi = min(y_hi + pad, sys.float_info.max / y_unit)
 
     def sx(v):
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
@@ -79,13 +94,15 @@ def line_chart(path, x, y, peaks=None, title: str = "",
         out.append(f'  <line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" '
                    f'y2="{y0 + 5}" stroke="black"/>')
         out.append(f'  <text x="{px:.2f}" y="{y0 + 20}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(tv)}</text>')
+                   'font-family="sans-serif" font-size="11">'
+                   f'{_fmt(tv * x_unit)}</text>')
     for tv in _ticks(y_lo, y_hi, target=6):
         py = sy(tv)
         out.append(f'  <line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" '
                    f'y2="{py:.2f}" stroke="black"/>')
         out.append(f'  <text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(tv)}</text>')
+                   'font-family="sans-serif" font-size="11">'
+                   f'{_fmt(tv * y_unit)}</text>')
     if xlabel:
         out.append(f'  <text x="{(MARGIN_L + WIDTH - MARGIN_R) // 2}" '
                    f'y="{HEIGHT - 12}" text-anchor="middle" '

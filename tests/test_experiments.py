@@ -27,6 +27,11 @@ from timefringe.propagation import (CLOSED_FORM, ENGINES, FLOQUET, QUADRATURE,
                                     propagate_stueckelberg, spatial_component)
 
 
+# asked for quadrature, the control warns that it runs in closed form
+control_runs_closed_form = pytest.mark.filterwarnings(
+    "ignore:schrodinger_control has no quadrature path")
+
+
 class TestTwoGateConfig:
     def test_desk_scale_derived_quantities(self):
         cfg = DESK_SCALE
@@ -228,6 +233,7 @@ class TestTwoGateRun:
         with pytest.raises(NoFringes, match="below the floor"):
             outcome_fringes(outcome)
 
+    @control_runs_closed_form
     @pytest.mark.parametrize("theory", [SCHRODINGER, FLOQUET, STUECKELBERG])
     @pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
     @pytest.mark.parametrize("change", [{}, {"gate_spacing": 48.0},
@@ -585,6 +591,7 @@ class TestExtractFringes:
             lambda tr, f: extract_fringes(tr, f).peak_times, trace, fraction)
         assert got == _peaks_or_reason(reference_peak_times, trace, fraction)
 
+    @control_runs_closed_form
     @pytest.mark.parametrize("theory", THEORIES)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_desk_peaks_match_row_by_row_reference(self, theory, engine):
@@ -606,6 +613,7 @@ class TestExtractFringes:
         gaps = np.array(values)
         assert _median(gaps).hex() == float(np.median(gaps)).hex()
 
+    @control_runs_closed_form
     @pytest.mark.parametrize("theory", THEORIES)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_desk_spacing_is_the_np_median_gap(self, theory, engine):
@@ -695,6 +703,15 @@ class TestExtractFringes:
             IntensityTrace(times=np.array([0.0, 1.0]),
                            intensity=np.array([1.0, -1.0]),
                            detector_x=0.0, theory="x")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["times", "intensity"])
+    def test_trace_rejects_non_finite_samples(self, bad, column):
+        data = {"times": np.array([0.0, 1.0, 2.0]),
+                "intensity": np.array([1.0, 2.0, 1.0])}
+        data[column][-1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            IntensityTrace(**data, detector_x=0.0, theory="x")
 
 
 class TestVisibilityScan:

@@ -74,9 +74,17 @@ def test_every_private_top_level_name_is_used(path):
 
 
 # what a cold command must not import: np.median's first call pulls in
-# numpy.ma, milliseconds of a cold op, and difflib serves only the
-# unknown-key hint
-UNUSED_ON_COLD_START = ("numpy.ma", "difflib")
+# numpy.ma, milliseconds of a cold op, difflib serves only the unknown-key
+# hint, and hashlib maps OpenSSL's libcrypto, 3.3 MB resident
+UNUSED_ON_COLD_START = ("numpy.ma", "difflib", "hashlib", "_hashlib")
+
+
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that imports the package from here"""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.mark.parametrize("argv", [
@@ -95,9 +103,18 @@ def test_cold_command_imports_only_what_it_runs(tmp_path, argv):
     code = ("import sys\nfrom timefringe.cli import main\n"
             f"assert main({argv!r}) == 0\n"
             f"print([m for m in {UNUSED_ON_COLD_START!r} if m in sys.modules])")
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
-                                         os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
+    run = run_child(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_hashlib_fallback_gives_the_same_scenario_hash():
+    # without CPython's built-in SHA-256 module, cli takes it from hashlib
+    run = run_child("import sys\n"
+                    "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                    "from timefringe import cli\n"
+                    "from timefringe.scenario import Scenario\n"
+                    "print(cli.sha256.__module__)\n"
+                    "print(cli._scenario_hash(Scenario().to_dict()))\n")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["_hashlib", "5ecc5ebb19ba440b"]

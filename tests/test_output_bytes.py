@@ -4,6 +4,7 @@ replace: the same bytes out, the same arrays and errors in."""
 import csv
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,8 @@ def trace(request):
     return two_gate_run(theory, TwoGateConfig(engine=engine)).trace
 
 
+@pytest.mark.filterwarnings(
+    "ignore:schrodinger_control has no quadrature path")
 class TestWriters:
     def test_trace_csv_matches_csv_writer_loop(self, tmp_path, trace):
         cli._write_trace_csv(tmp_path / "new.csv", trace)
@@ -125,6 +128,31 @@ class TestWriters:
         want = [y[x.index(p)] if p in x else reference_interp(x, y, p)
                 for p in peaks]
         assert svgplot._heights_at(np.array(x), np.array(y), peaks) == want
+
+
+M = sys.float_info.max
+
+
+@pytest.mark.parametrize("x,y", [
+    (np.linspace(-0.975, 0.975, 801) * M, np.linspace(0.0, 1.0, 801) * M),
+    (1e16 + 2.0 * np.arange(5), [0.0, 1.0, 0.0, 1.0, 0.0]),
+    (np.arange(9.0), 1e16 + 2.0 * (np.arange(9) % 2)),
+    (np.arange(9.0), 5e-324 * (np.arange(9) % 2)),
+], ids=["past-float-max", "x-one-ulp-apart", "y-one-ulp-apart",
+        "y-subnormal"])
+def test_chart_of_any_finite_trace_lies_in_its_box(tmp_path, x, y):
+    # spans past the float maximum or below one tick step used to raise or
+    # never end; every coordinate is in the box and every label finite
+    svgplot.line_chart(tmp_path / "t.svg", x, y,
+                       peaks=[float(x[1]), float(x[-1])])
+    svg = (tmp_path / "t.svg").read_text()
+    coords = [float(v) for v in re.findall(
+        r' (?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', svg)]
+    coords += [float(v) for v in re.search(
+        r'points="([^"]+)"', svg)[1].replace(",", " ").split()]
+    assert all(0.0 <= v <= svgplot.WIDTH for v in coords)
+    labels = re.findall(r'font-size="11">([^<]+)<', svg)
+    assert labels and all(math.isfinite(float(v)) for v in labels)
 
 
 # ----------------------------------------------------- reference reader

@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import json
 import math
+import re
+import sys
 import threading
 import warnings
 from dataclasses import fields
@@ -87,6 +90,17 @@ class TestScenarioSchema:
                     in text)
         assert ("scenario-sha256:5ecc5ebb19ba440b"
                 in (tmp_path / "simulate" / "trace.svg").read_text())
+
+    @pytest.mark.parametrize("raw", [
+        {}, {"theory": "floquet", "engine": "quadrature"},
+        {"packet": {"gate_spacing": 24.0, "gate_profile": "rectangular"}},
+        {"sim": {"flight_distance": 3.5, "detector_x": -1e-300},
+         "setup": {"wavelength_nm": 632.8}}])
+    def test_scenario_hash_is_hashlibs_sha256(self, raw):
+        echo = scenario_from_dict(raw).to_dict()
+        text = json.dumps(echo, indent=2, sort_keys=True)
+        assert (cli._scenario_hash(echo)
+                == hashlib.sha256(text.encode()).hexdigest()[:16])
 
     def test_defaults_are_the_configs_defaults(self):
         assert Scenario().two_gate_config() == DESK_SCALE
@@ -271,7 +285,7 @@ _SWEEP_KEYS = ([("packet", key) for key in (
     "gate_width", "gate_spacing")]
     + [("sim", key) for key in ("flight_distance", "s_elapsed", "detector_x")])
 _SWEEP_VALUES = [0.0] + [sign * size for size in (
-    1e-300, 1e-100, 1e-10, 1e-3, 1.0, 1e3, 1e10, 1e100, 1e300)
+    1e-300, 1e-100, 1e-10, 1e-3, 1.0, 1e3, 1e10, 1e100, 1e154, 1e300)
     for sign in (1.0, -1.0)]
 
 
@@ -281,7 +295,7 @@ class TestScenarioSweep:
                                         "stueckelberg"])
     def test_every_number_ends_in_a_documented_exit(self, tmp_path, theory,
                                                     engine):
-        # each packet/sim number at 19 sizes, one key at a time: exit 0
+        # each packet/sim number at 21 sizes, one key at a time: exit 0
         # with a trace that carries intensity and a strict-JSON report, or
         # exit 2, 3 or 4
         bad = []
@@ -385,6 +399,23 @@ class TestCliSimulate:
         assert report["time_grid"]["n_t"] == 129
         assert report["time_grid"]["samples_per_fringe"] is None
 
+    def test_control_reports_the_engine_that_ran(self, tmp_path, capsys):
+        # the control has no quadrature path: asked for it, the run says so
+        # once and reports closed form; the echo keeps the engine asked for
+        traces = []
+        for engine in ("closed_form", "quadrature"):
+            out = tmp_path / engine
+            assert main(["simulate", "--theory", "schrodinger_control",
+                         "--engine", engine, "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["engine"] == "closed_form"
+            assert report["scenario"]["engine"] == engine
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+        assert capsys.readouterr().err == (
+            "warning: schrodinger_control has no quadrature path: it runs "
+            "in closed_form\n")
+
     def test_missing_fringes_fails_for_covariant(self, tmp_path):
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps({"packet": {"gate_spacing": 0.0}}))
@@ -476,6 +507,7 @@ class TestCliSimulate:
          "schrodinger_control"),
         ("packet", "spatial_center", -1e300, "spatial_center = -1e+300",
          "schrodinger_control"),
+        ("packet", "momentum", 1e154, "carrier phase E0 t", "floquet"),
     ])
     def test_out_of_float_range_run_is_domain_error(self, tmp_path, capsys,
                                                     section, key, value,
@@ -763,20 +795,34 @@ class TestCliFringes:
         assert "--threshold must be in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reads_a_trace_near_the_float_maximum(self, tmp_path, capsys):
-        # the planted cosine of extract_fringes' tests at a peak of 2e307
+    @pytest.mark.parametrize("peak", [2e307, 1.75e308, sys.float_info.max])
+    def test_reads_a_trace_near_the_float_maximum(self, tmp_path, capsys,
+                                                  peak):
+        # the planted cosine of extract_fringes' tests at a peak near the
+        # float maximum, and scaled down by 2**1000: the same peaks, and a
+        # chart whose coordinates all lie in its box
         t = np.linspace(0.0, 20.0, 4001)
-        y = 1e307 * np.exp(-((t - 10.0) ** 2) / 18.0) * (
+        y = peak / 2.0 * np.exp(-((t - 10.0) ** 2) / 18.0) * (
             1.0 + np.cos(2.0 * np.pi * (t - 10.0) / 0.5))
-        trace = tmp_path / "trace.csv"
-        trace.write_text("t,intensity\n" + "".join(
-            f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), y.tolist())))
-        out = tmp_path / "out"
-        assert main(["fringes", "--trace", str(trace),
-                     "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert len(report["peak_times"]) == 17
-        assert report["spacing_T"] == pytest.approx(0.5, abs=1e-2)
+        reports = []
+        for name, values in (("big", y), ("small", 2.0 ** -1000 * y)):
+            trace = tmp_path / f"{name}.csv"
+            trace.write_text("t,intensity\n" + "".join(
+                f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), values.tolist())))
+            out = tmp_path / name
+            assert main(["fringes", "--trace", str(trace),
+                         "--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+            svg = (out / "fringes.svg").read_text()
+            coords = [float(v) for v in re.findall(
+                r' (?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', svg)]
+            coords += [float(v) for v in re.search(
+                r'points="([^"]+)"', svg)[1].replace(",", " ").split()]
+            assert len(coords) > 2 * len(t)
+            assert all(0.0 <= v <= 900.0 for v in coords)
+        assert len(reports[0]["peak_times"]) == 17
+        assert reports[0]["peak_times"] == reports[1]["peak_times"]
+        assert reports[0]["spacing_T"] == pytest.approx(0.5, abs=1e-2)
         assert capsys.readouterr().err == ""
 
     def test_missing_trace_is_io_error(self, tmp_path):
