@@ -32,7 +32,7 @@ from .scenario import Scenario, parse_scenario
 from .svgplot import line_chart
 
 # CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib maps
-# OpenSSL's libcrypto, 3.3 MB resident and 3 ms of import, for one digest
+# OpenSSL's libcrypto, 3.4 MB resident and 3 ms of import, for one digest
 try:
     from _sha2 import sha256  # Python 3.12 on
 except ImportError:

@@ -31,7 +31,7 @@ def _fmt(v: float) -> str:
 def _ticks(lo: float, hi: float, target: int = 8) -> list:
     span = hi - lo
     raw = span / target
-    if raw <= 0:  # also a span too narrow to divide
+    if raw <= 0:  # no span, or one too narrow to divide
         return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw),

@@ -75,7 +75,7 @@ def test_every_private_top_level_name_is_used(path):
 
 # what a cold command must not import: np.median's first call pulls in
 # numpy.ma, milliseconds of a cold op, difflib serves only the unknown-key
-# hint, and hashlib maps OpenSSL's libcrypto, 3.3 MB resident
+# hint, and hashlib maps OpenSSL's libcrypto, 3.4 MB resident
 UNUSED_ON_COLD_START = ("numpy.ma", "difflib", "hashlib", "_hashlib")
 
 
