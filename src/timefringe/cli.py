@@ -8,10 +8,13 @@ are self-contained SVG carrying the scenario hash. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import math
+import os
+import stat
 import sys
 import time
 import warnings
@@ -75,15 +78,31 @@ def _out_dir(args) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _rewrite(path: Path, newline: str | None = None):
+    """A text file that writes path in place, then cuts a regular file that
+    was longer to the written length. An existing file keeps its inode and
+    mode. Opened without O_TRUNC, a rewritten file starts no writeback when
+    it closes, as ext4 (auto_da_alloc) does for a truncated one; that
+    writeback costs several times the write. A file that needs no cut gets
+    no truncate call, which on ext4 is a journal transaction."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                   newline=newline) as fh:
+        yield fh
+        st = os.fstat(fh.fileno())  # /dev/null has no length to cut
+        if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
+            fh.truncate()
+
+
 def _write_report(out: Path, report: dict) -> None:
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _rewrite(out / "report.json") as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _write_trace_csv(path: Path, trace: IntensityTrace) -> None:
     body = "".join(map("{:.17g},{:.17g}\r\n".format, trace.times.tolist(),
                        trace.intensity.tolist()))
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path, newline="") as fh:
         csv.writer(fh).writerow(["t (internal time)",
                                  "intensity (internal, |psi|^2)"])
         fh.write(body)
@@ -113,7 +132,7 @@ def cmd_estimate(args) -> int:
         print(f"{name:<{width}}  {value:.6g}")
 
     out = _out_dir(args)
-    with open(out / "estimate.csv", "w", newline="") as fh:
+    with _rewrite(out / "estimate.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["quantity (units in name)", "value"])
         for name, value in rows:
@@ -155,12 +174,13 @@ def cmd_simulate(args) -> int:
     _write_trace_csv(out / "trace.csv", outcome.trace)
     echo = scenario.to_dict()
     shash = _scenario_hash(echo)
-    line_chart(out / "trace.svg", outcome.trace.times,
-               outcome.trace.intensity,
-               peaks=fringes.peak_times if fringes else None,
-               title=f"{scenario.theory} two-gate intensity at detector",
-               xlabel="t (internal time)", ylabel="intensity",
-               meta=f"scenario-sha256:{shash}")
+    with _rewrite(out / "trace.svg") as fh:
+        fh.write(line_chart(
+            outcome.trace.times, outcome.trace.intensity,
+            peaks=fringes.peak_times if fringes else None,
+            title=f"{scenario.theory} two-gate intensity at detector",
+            xlabel="t (internal time)", ylabel="intensity",
+            meta=f"scenario-sha256:{shash}"))
     times = outcome.trace.times
     dt = (times[-1] - times[0]) / (len(times) - 1)
     report = {
@@ -217,7 +237,7 @@ def cmd_scan(args) -> int:
                            param=args.param)
 
     out = _out_dir(args)
-    with open(out / "scan.csv", "w", newline="") as fh:
+    with _rewrite(out / "scan.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([_SCAN_HEADERS[args.param],
                     "interference visibility (dimensionless)",
@@ -301,10 +321,11 @@ def cmd_fringes(args) -> int:
         "spacing_T": fr.spacing_T,
         "visibility": fr.visibility,
     })
-    line_chart(out / "fringes.svg", trace.times, trace.intensity,
-               peaks=fr.peak_times, title="re-analyzed trace",
-               xlabel="t (internal time)", ylabel="intensity",
-               meta=f"trace:{path.name}")
+    with _rewrite(out / "fringes.svg") as fh:
+        fh.write(line_chart(trace.times, trace.intensity,
+                            peaks=fr.peak_times, title="re-analyzed trace",
+                            xlabel="t (internal time)", ylabel="intensity",
+                            meta=f"trace:{path.name}"))
     print(f"peaks={len(fr.peak_times)} spacing_T={fr.spacing_T:.6g} "
           f"visibility={fr.visibility:.6g}")
     return EXIT_OK

@@ -291,13 +291,14 @@ def extract_fringes(trace: IntensityTrace,
     y = np.asarray(trace.intensity, dtype=float)
     # a power of two scales exactly, and keeps the sums below finite
     y = np.ldexp(y, -math.frexp(float(y.max()))[1])
+    u = np.ldexp(t, -math.frexp(float(np.abs(t).max()))[1])
     total = float(y.sum())
     if total <= 0:
         raise NoFringes("trace carries no intensity")
-    mean_t = float((t * y).sum() / total)
-    sigma_t = math.sqrt(max(float(((t - mean_t) ** 2 * y).sum() / total), 0.0))
-    idx = (np.abs(t - mean_t) <= 1.5 * sigma_t).nonzero()[0]
-    if sigma_t == 0.0 or idx.size < 3:
+    mean_u = float((u * y).sum() / total)
+    sigma_u = math.sqrt(max(float(((u - mean_u) ** 2 * y).sum() / total), 0.0))
+    idx = (np.abs(u - mean_u) <= 1.5 * sigma_u).nonzero()[0]
+    if sigma_u == 0.0 or idx.size < 3:
         raise NoFringes("central window too narrow for peak analysis")
     lo, hi = idx[0], idx[-1]
     w_max = float(y[lo:hi + 1].max())

@@ -120,6 +120,11 @@ def propagate_component(comp: GaussianComponent1D, mu: float,
     logamp = (comp.logamp + log_c + 0.5 * xp.log(math.pi / gamma)
               + comp.b * comp.b / (4.0 * gamma))
     b_new = -1j * beta * comp.b / gamma
+    for name, value in (("log-amplitude", logamp), ("coefficient b", b_new)):
+        if not every(xp.isfinite(value)):
+            raise DomainError(
+                f"the {name} of a component spread over s = {np.max(s):g} "
+                f"leaves the float range (|b| = {abs(comp.b):g} before)")
     return GaussianComponent1D(logamp=logamp, a=a_new, b=b_new)
 
 

@@ -1,15 +1,14 @@
 """Minimal deterministic SVG line charts (no plotting framework).
 
-Emits axes, tick labels, one polyline, optional peak markers, and a
-metadata line carrying the scenario hash, with fixed float formatting so
-identical inputs give byte-identical files.
+Gives the text of a chart: axes, tick labels, one polyline, optional peak
+markers, and a metadata line carrying the scenario hash, with fixed float
+formatting so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -47,10 +46,11 @@ def _ticks(lo: float, hi: float, target: int = 8) -> list:
     return ticks
 
 
-def line_chart(path, x, y, peaks=None, title: str = "",
-               xlabel: str = "", ylabel: str = "", meta: str = "") -> None:
-    """Chart y over x; x must be strictly increasing, as a trace's times
-    are. Peak markers sit on the polyline, interpolated between samples."""
+def line_chart(x, y, peaks=None, title: str = "", xlabel: str = "",
+               ylabel: str = "", meta: str = "") -> str:
+    """The SVG text charting y over x; x must be strictly increasing, as a
+    trace's times are. Peak markers sit on the polyline, interpolated
+    between samples."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x_lo, x_hi = float(x.min()), float(x.max())
@@ -123,7 +123,7 @@ def line_chart(path, x, y, peaks=None, title: str = "",
             out.append(f'  <circle cx="{sx(pt):.2f}" cy="{sy(yy):.2f}" r="3.5" '
                        'fill="none" stroke="#c23b22" stroke-width="1.5"/>')
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
 
 
 def _heights_at(x: np.ndarray, y: np.ndarray, points) -> list:

@@ -669,6 +669,20 @@ class TestExtractFringes:
         assert len(got) == 17
         assert got == extract_fringes(trace).peak_times
 
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1.0, 2.0**1000],
+                             ids=["2^-1000", "1", "2^1000"])
+    def test_peaks_are_exact_under_power_of_two_time_rescaling(self, scale):
+        # the moment sums are taken on the times scaled by a power of two;
+        # at 2^1000 the squared offsets used to overflow, and no fringes
+        # were found
+        trace = planted_trace()
+        scaled = IntensityTrace(times=scale * trace.times,
+                                intensity=trace.intensity,
+                                detector_x=0.0, theory="synthetic")
+        got = extract_fringes(scaled).peak_times
+        assert len(got) == 17
+        assert got == [scale * p for p in extract_fringes(trace).peak_times]
+
     def test_full_contrast_cosine(self):
         report = extract_fringes(planted_trace())
         assert report.visibility > 0.99

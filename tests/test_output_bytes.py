@@ -1,9 +1,14 @@
 """The trace writers and the trace reader against the row-by-row code they
-replace: the same bytes out, the same arrays and errors in."""
+replace: the same bytes out, the same arrays and errors in. Every output
+file is rewritten in place: the same bytes as in a fresh directory, on the
+same inode, with no tail left from a longer file."""
 
 import csv
+import json
 import math
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -102,26 +107,22 @@ class TestWriters:
         assert new.startswith(
             b't (internal time),"intensity (internal, |psi|^2)"\r\n')
 
-    def test_svg_polyline_and_markers_match_point_loop(self, tmp_path,
-                                                       trace):
+    def test_svg_polyline_and_markers_match_point_loop(self, trace):
         peaks = _marker_times(trace)
         assert any(p == trace.times[len(trace.times) // 3] for p in peaks)
-        svgplot.line_chart(tmp_path / "t.svg", trace.times, trace.intensity,
-                           peaks=peaks)
-        svg = (tmp_path / "t.svg").read_text()
+        svg = svgplot.line_chart(trace.times, trace.intensity, peaks=peaks)
         pts, circles = reference_polyline_and_markers(
             trace.times, trace.intensity, peaks)
         assert re.search(r'<polyline points="([^"]*)"', svg)[1] == pts
         assert [ln for ln in svg.splitlines() if "<circle" in ln] == circles
 
-    def test_exact_hit_marker_takes_the_sample(self, tmp_path):
+    def test_exact_hit_marker_takes_the_sample(self):
         # y0 + 1 * (y1 - y0) rounds away from y1 here, so interpolating
         # onto a sample would move the marker
         x, y = [0.0, 1.0, 2.0, 3.0], [0.7, 0.1, 0.3, 0.2]
         assert y[0] + 1.0 * (y[1] - y[0]) != y[1]
         peaks = [1.0, 0.5, 3.0, -1.0, 4.0, 2.75]
-        svgplot.line_chart(tmp_path / "t.svg", x, y, peaks=peaks)
-        svg = (tmp_path / "t.svg").read_text()
+        svg = svgplot.line_chart(x, y, peaks=peaks)
         pts, circles = reference_polyline_and_markers(x, y, peaks)
         assert re.search(r'<polyline points="([^"]*)"', svg)[1] == pts
         assert [ln for ln in svg.splitlines() if "<circle" in ln] == circles
@@ -140,12 +141,10 @@ M = sys.float_info.max
     (np.arange(9.0), 5e-324 * (np.arange(9) % 2)),
 ], ids=["past-float-max", "x-one-ulp-apart", "y-one-ulp-apart",
         "y-subnormal"])
-def test_chart_of_any_finite_trace_lies_in_its_box(tmp_path, x, y):
+def test_chart_of_any_finite_trace_lies_in_its_box(x, y):
     # spans past the float maximum or below one tick step used to raise or
     # never end; every coordinate is in the box and every label finite
-    svgplot.line_chart(tmp_path / "t.svg", x, y,
-                       peaks=[float(x[1]), float(x[-1])])
-    svg = (tmp_path / "t.svg").read_text()
+    svg = svgplot.line_chart(x, y, peaks=[float(x[1]), float(x[-1])])
     coords = [float(v) for v in re.findall(
         r' (?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', svg)]
     coords += [float(v) for v in re.search(
@@ -297,3 +296,131 @@ def test_written_trace_reads_back_bit_for_bit(tmp_path, trace):
     assert np.array_equal(times.view(np.int64), trace.times.view(np.int64))
     assert np.array_equal(intensity.view(np.int64),
                           trace.intensity.view(np.int64))
+
+
+# ------------------------------------------------------ in-place rewrites
+
+def _commands(source):
+    """(name, argv without --out, files written) of the four commands;
+    fringes re-reads the trace at source."""
+    return [
+        ("simulate", ["simulate"], ["trace.csv", "trace.svg", "report.json"]),
+        ("scan", ["scan", "--param", "gate_spacing", "--values", "12,24"],
+         ["scan.csv", "report.json"]),
+        ("fringes", ["fringes", "--trace", str(source)],
+         ["fringes.svg", "report.json"]),
+        ("estimate", ["estimate"], ["estimate.csv", "report.json"]),
+    ]
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    """The files of each command run into a fresh --out, by name."""
+    base = tmp_path_factory.mktemp("fresh")
+    assert cli.main(["simulate", "--out", str(base / "source")]) == 0
+    source = base / "source" / "trace.csv"
+    files = {}
+    for name, argv, written in _commands(source):
+        assert cli.main([*argv, "--out", str(base / name)]) == 0
+        assert sorted(p.name for p in (base / name).iterdir()) == sorted(
+            written)
+        files[name] = {f: (base / name / f).read_bytes() for f in written}
+    return source, files
+
+
+def _same_output(got: bytes, want: bytes, fname: str) -> bool:
+    """Byte equality; a report is compared as strict JSON without its
+    timing, which differs from run to run."""
+    if fname != "report.json":
+        return got == want
+    a, b = json.loads(got), json.loads(want)
+    a.pop("wall_time_s", None)
+    b.pop("wall_time_s", None)
+    return a == b
+
+
+@pytest.mark.parametrize("newline", [None, ""])
+def test_shorter_rewrite_leaves_only_the_new_bytes(tmp_path, newline):
+    path = tmp_path / "f.txt"
+    with cli._rewrite(path, newline=newline) as fh:
+        fh.write("a much longer first version\r\n" * 100)
+    inode = path.stat().st_ino
+    os.link(path, tmp_path / "link")  # a freed inode number can come back
+    with cli._rewrite(path, newline=newline) as fh:
+        fh.write("short\r\n")
+    assert path.read_bytes() == b"short\r\n"
+    assert path.stat().st_ino == inode
+    assert (tmp_path / "link").read_bytes() == b"short\r\n"
+
+
+def test_output_linked_to_dev_null_is_discarded(tmp_path, capsys):
+    # a device has no length to cut
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trace.svg").symlink_to(os.devnull)
+    assert cli.main(["simulate", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "trace.svg").is_symlink()
+    assert (out / "trace.csv").stat().st_size > 0
+
+
+def test_new_file_has_the_mode_open_w_gives(tmp_path):
+    old = os.umask(0o027)
+    try:
+        with cli._rewrite(tmp_path / "new.txt") as fh:
+            fh.write("x")
+        with open(tmp_path / "ref.txt", "w") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    assert (stat.S_IMODE((tmp_path / "new.txt").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "ref.txt").stat().st_mode) == 0o640)
+
+
+@pytest.mark.parametrize("command", ["simulate", "scan", "fringes",
+                                     "estimate"])
+def test_rewrite_over_longer_files_matches_a_fresh_out(tmp_path, capsys,
+                                                       fresh, command):
+    # another run left longer files, with their own mode, in --out
+    source, files = fresh
+    name, argv, written = next(c for c in _commands(source)
+                               if c[0] == command)
+    out = tmp_path / "out"
+    out.mkdir()
+    before = {}
+    for fname in written:
+        (out / fname).write_bytes(b"stale,0\r\n" + 2 * files[name][fname])
+        (out / fname).chmod(0o640)
+        before[fname] = (out / fname).stat().st_ino
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    for fname in written:
+        st = (out / fname).stat()
+        assert st.st_ino == before[fname]
+        assert stat.S_IMODE(st.st_mode) == 0o640
+        assert _same_output((out / fname).read_bytes(), files[name][fname],
+                            fname), fname
+
+
+def test_no_output_is_opened_with_o_trunc(tmp_path, capsys, monkeypatch,
+                                          fresh):
+    # every file a command writes goes through os.open, without O_TRUNC: a
+    # truncating open costs a writeback on ext4 when the file closes
+    source, _ = fresh
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+    monkeypatch.setattr(os, "open", recording_open)
+    for _ in range(2):  # into a fresh --out, then over its files
+        for name, argv, written in _commands(source):
+            out = tmp_path / name
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            for fname in written:
+                flags = [f for p, f in opened if p == str(out / fname)]
+                assert flags, f"{name} wrote {fname} without os.open"
+                assert not any(f & os.O_TRUNC for f in flags), fname
+            opened.clear()
+    capsys.readouterr()

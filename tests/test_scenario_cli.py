@@ -423,16 +423,21 @@ class TestCliSimulate:
                      "--out", str(tmp_path / "out")])
         assert code == 4
 
-    @pytest.mark.parametrize("theory,engine,momentum", [
-        ("floquet", "closed_form", 1e-300), ("floquet", "quadrature", 1e-300),
-        ("stueckelberg", "quadrature", 1e100)])
+    @pytest.mark.parametrize("theory,engine,momentum,named", [
+        ("floquet", "closed_form", 1e-300, "the time axis"),
+        ("floquet", "quadrature", 1e-300, "the time axis"),
+        # the gates' |b| is E0 = p^2 / 2; the x component's is p
+        ("stueckelberg", "quadrature", 1e100, "(|b| = 5e+199 before)")],
+        ids=["floquet-closed_form-1e-300", "floquet-quadrature-1e-300",
+             "stueckelberg-quadrature-1e+100"])
     def test_time_axis_fails_first(self, tmp_path, capsys, theory, engine,
-                                   momentum):
-        # both axes fail; the time rule runs first and names the time axis
+                                   momentum, named):
+        # both axes fail; the time rule runs first and names the time axis,
+        # or the spread gate whose log-amplitude overflows
         assert run_one_key(tmp_path, "simulate", "packet", "momentum",
                            momentum, "--theory", theory,
                            "--engine", engine) == 4
-        assert "the time axis" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_below_visibility_floor_is_domain_error(self, tmp_path, capsys):
         # at eps = 96, L = 2 the automatic grid resolves the fringes, but
@@ -515,6 +520,20 @@ class TestCliSimulate:
         assert run_one_key(tmp_path, "simulate", section, key, value,
                            "--theory", theory) == 4
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
+    def test_spread_gate_out_of_float_range_is_domain_error(self, tmp_path,
+                                                            capsys, engine):
+        # E0 = 5e307 enters the gates' coefficient b, and b^2 / 4 gamma
+        # overflows as they spread; a NaN axis width used to be exit 3
+        assert run_one_key(tmp_path, "simulate", "packet", "momentum", 1e154,
+                           "--theory", "stueckelberg", "--engine",
+                           engine) == 4
+        err = capsys.readouterr().err
+        assert err == ("domain error: the log-amplitude of a component "
+                       "spread over s = 2e-154 leaves the float range "
+                       "(|b| = 5e+307 before)\n")
+        assert "nan" not in err
 
     @pytest.mark.parametrize("theory", ["stueckelberg",
                                         "schrodinger_control"])
@@ -823,6 +842,24 @@ class TestCliFringes:
         assert len(reports[0]["peak_times"]) == 17
         assert reports[0]["peak_times"] == reports[1]["peak_times"]
         assert reports[0]["spacing_T"] == pytest.approx(0.5, abs=1e-2)
+        assert capsys.readouterr().err == ""
+
+    def test_finds_fringes_at_times_past_the_float_maximum(self, tmp_path,
+                                                           capsys):
+        # a cosine, 8 samples a period, at times from -0.975 to 0.975 times
+        # the float maximum: the sums over times used to overflow, with two
+        # numpy warnings and "no fringes"
+        t = np.linspace(-0.975, 0.975, 801) * sys.float_info.max
+        y = 1.0 + np.cos(2.0 * np.pi * np.arange(801) / 8.0)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,intensity\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), y.tolist())))
+        out = tmp_path / "out"
+        assert main(["fringes", "--trace", str(trace),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["spacing_T"] == pytest.approx(8.0 * (t[1] - t[0]),
+                                                    rel=1e-12)
         assert capsys.readouterr().err == ""
 
     def test_missing_trace_is_io_error(self, tmp_path):
