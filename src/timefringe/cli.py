@@ -310,24 +310,21 @@ def cmd_fringes(args) -> int:
     try:
         fr = extract_fringes(trace, args.threshold)
     except NoFringes as exc:
-        _write_report(out, {"command": "fringes", "trace": str(path),
-                            "no_fringes": str(exc)})
-        print(f"no fringes: {exc}")
-        return EXIT_OK
-    _write_report(out, {
-        "command": "fringes",
-        "trace": str(path),
-        "peak_times": fr.peak_times,
-        "spacing_T": fr.spacing_T,
-        "visibility": fr.visibility,
-    })
+        fr, found = None, {"no_fringes": str(exc)}
+        line = f"no fringes: {exc}"
+    else:
+        found = {"peak_times": fr.peak_times, "spacing_T": fr.spacing_T,
+                 "visibility": fr.visibility}
+        line = (f"peaks={len(fr.peak_times)} spacing_T={fr.spacing_T:.6g} "
+                f"visibility={fr.visibility:.6g}")
+    _write_report(out, {"command": "fringes", "trace": str(path), **found})
     with _rewrite(out / "fringes.svg") as fh:
         fh.write(line_chart(trace.times, trace.intensity,
-                            peaks=fr.peak_times, title="re-analyzed trace",
+                            peaks=fr.peak_times if fr else None,
+                            title="re-analyzed trace",
                             xlabel="t (internal time)", ylabel="intensity",
                             meta=f"trace:{path.name}"))
-    print(f"peaks={len(fr.peak_times)} spacing_T={fr.spacing_T:.6g} "
-          f"visibility={fr.visibility:.6g}")
+    print(line)
     return EXIT_OK
 
 

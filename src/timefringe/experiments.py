@@ -26,8 +26,8 @@ from .errors import DomainError, NoFringes, OverlapWarning
 from .packets import (GAUSSIAN, GATE_PROFILES, GaussianSpatialPacket,
                       SpacetimePacket, TimeGate)
 from .propagation import (CLOSED_FORM, ENGINES, SCHRODINGER, STUECKELBERG,
-                          THEORIES, axis_samples, propagate_component,
-                          read_field, spatial_component)
+                          THEORIES, axis_samples, component_overlap,
+                          propagate_component, read_field, spatial_component)
 # perfbench/tracing.py wraps these by name in this module; two_gate_run
 # calls none of them.
 from .propagation import (auto_output_grid, propagate_floquet,  # noqa
@@ -123,9 +123,14 @@ def _spatial_packet(cfg: TwoGateConfig) -> GaussianSpatialPacket:
 
 
 def build_packet(cfg: TwoGateConfig) -> SpacetimePacket:
-    if not 0.0 < cfg.gate_width * cfg.gate_width < math.inf:
+    w2 = cfg.gate_width * cfg.gate_width
+    if not 0.0 < w2 < math.inf:
         raise DomainError(f"gate_width = {cfg.gate_width:g}: its square "
                           "leaves the float range")
+    if cfg.gate_profile == GAUSSIAN and not math.pi * w2 < math.inf:
+        raise DomainError(f"packet.gate_width = {cfg.gate_width:g}: the "
+                          "Gaussian gates' overlap pi w^2 leaves the float "
+                          "range")
     for key in ("gate_spacing", "momentum"):  # gate overlap, carrier energy
         value = getattr(cfg, key)
         if not value * value < math.inf:
@@ -175,8 +180,7 @@ class TwoGateOutcome:
     s_elapsed: float
     predicted_spacing: float | None
     engine: str  # the engine that ran
-    drift: Callable[[], float] = field(default=lambda: 0.0, repr=False,
-                                       compare=False)
+    drift: Callable[[], float] = field(repr=False, compare=False)
 
     @cached_property
     def norm_drift(self) -> float:
@@ -185,8 +189,10 @@ class TwoGateOutcome:
         return self.drift()
 
 
-def _schrodinger_control_traces(cfg: TwoGateConfig):
-    """Each gate's pulse propagated separately; intensities added.
+def _control_pulses(cfg: TwoGateConfig) -> tuple:
+    """Each gate's pulse propagated separately; intensities added: the
+    times, that intensity, and a function returning the packet's norm^2
+    before and after its flight time.
 
     There is no joint amplitude: standard evolution carries no mechanism
     for coherence between emissions at different times, so the output is a
@@ -206,6 +212,12 @@ def _schrodinger_control_traces(cfg: TwoGateConfig):
     sigma_arrival = spread.intensity_sigma / cfg.momentum
     center = t_flight + 0.5 * cfg.gate_spacing
     half = 4.0 * sigma_arrival + cfg.gate_spacing
+    if not 2.0 * half < math.inf:
+        raise DomainError(
+            f"the arrival window for packet.momentum = {cfg.momentum:g}, "
+            f"packet.spatial_width = {cfg.spatial_width:g} and "
+            f"packet.gate_spacing = {cfg.gate_spacing:g} spans more than "
+            "the float range")
     n_t = axis_samples(2.0 * half, sigma_arrival, "arrival pulses of width")
     times = np.linspace(center - half, center + half, n_t)
 
@@ -215,9 +227,8 @@ def _schrodinger_control_traces(cfg: TwoGateConfig):
     comp = propagate_component(comp0, 1.0, elapsed[later])
     pulses = np.zeros(elapsed.shape)
     pulses[later] = 0.5 * np.abs(comp(distance)) ** 2
-    trace = IntensityTrace(times=times, intensity=pulses[0] + pulses[1],
-                           detector_x=cfg.detector, theory=SCHRODINGER)
-    return trace, trace
+    return times, pulses[0] + pulses[1], lambda: tuple(
+        component_overlap(c, c).real for c in (comp0, spread))
 
 
 def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome:
@@ -234,41 +245,41 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
             f"s* = M L / p overflows for flight_distance = "
             f"{cfg.flight_distance:g} and momentum = {cfg.momentum:g}")
 
+    # each theory gives its times, its intensity, its incoherent reference
+    # and its norm^2 before and after
     if theory == SCHRODINGER:
         if cfg.engine != CLOSED_FORM:
             warnings.warn(f"{SCHRODINGER} has no {cfg.engine} path: it runs "
                           f"in {CLOSED_FORM}", stacklevel=2)
-        trace, inc = _schrodinger_control_traces(cfg)
-        return TwoGateOutcome(trace=trace, incoherent_trace=inc,
-                              interference_visibility=0.0, s_elapsed=s,
-                              predicted_spacing=None, engine=CLOSED_FORM)
-
-    packet = build_packet(cfg)
-    predicted = (cfg.predicted_spacing() if theory == STUECKELBERG
-                 and cfg.gate_spacing > 0 else None)
-    # the field is X(x) sum_k T_k(t); the incoherent reference drops the
-    # cross terms between gates
-    x_d, _, times, temporal, norms = read_field(packet, theory, s, cfg.engine,
-                                                cfg.detector)
-    intensity = np.abs(x_d * sum(temporal)) ** 2
-    inc_intensity = sum(np.abs(x_d * tk) ** 2 for tk in temporal)
-
-    peak_inc = float(inc_intensity.max())
-    cross = float(np.abs(intensity - inc_intensity).max())
-    visibility = cross / peak_inc if peak_inc > 0 else 0.0
+        engine = CLOSED_FORM
+        times, intensity, norms = _control_pulses(cfg)
+        inc_intensity = intensity  # a mixed state has no cross term
+    else:
+        engine = cfg.engine
+        # the field is X(x) sum_k T_k(t); the incoherent reference drops
+        # the cross terms between gates
+        x_d, _, times, temporal, norms = read_field(
+            build_packet(cfg), theory, s, engine, cfg.detector)
+        intensity = np.abs(x_d * sum(temporal)) ** 2
+        inc_intensity = sum(np.abs(x_d * tk) ** 2 for tk in temporal)
 
     trace = IntensityTrace(times=times, intensity=intensity,
                            detector_x=cfg.detector, theory=theory)
     inc_trace = IntensityTrace(times=times, intensity=inc_intensity,
                                detector_x=cfg.detector, theory=theory)
+    peak_inc = float(inc_intensity.max())
+    cross = float(np.abs(intensity - inc_intensity).max())
+    visibility = cross / peak_inc if peak_inc > 0 else 0.0
 
     def drift() -> float:  # PropagationResult.norm_drift
         before, after = norms()
         return abs(after - before) / before
-    return TwoGateOutcome(trace=trace, incoherent_trace=inc_trace,
-                          interference_visibility=visibility, s_elapsed=s,
-                          predicted_spacing=predicted, engine=cfg.engine,
-                          drift=drift)
+    return TwoGateOutcome(
+        trace=trace, incoherent_trace=inc_trace,
+        interference_visibility=visibility, s_elapsed=s,
+        predicted_spacing=(cfg.predicted_spacing() if theory == STUECKELBERG
+                           and cfg.gate_spacing > 0 else None),
+        engine=engine, drift=drift)
 
 
 def _median(values: np.ndarray) -> float:

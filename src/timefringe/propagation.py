@@ -200,6 +200,12 @@ def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
+def _count(n) -> str:
+    """A sample count as printed: exact up to 2^53, past which the trailing
+    digits of a count computed from floats are noise."""
+    return f"{n}" if n <= 2**53 else f"{n:.6g}"
+
+
 def axis_samples(span: float, feature: float, what: str,
                  axis: str = "t") -> int:
     """The sample count of an automatic output axis: SAMPLES_PER_FEATURE
@@ -213,8 +219,8 @@ def axis_samples(span: float, feature: float, what: str,
     if n is None or n > MAX_AXIS_SAMPLES:
         raise ResolutionError(
             f"resolving {what} {feature:g} over a span of {span:g} needs "
-            f"n_{axis} = {per_span if n is None else n}, above the ceiling "
-            f"of {MAX_AXIS_SAMPLES}")
+            f"n_{axis} = {_count(per_span if n is None else n)}, above the "
+            f"ceiling of {MAX_AXIS_SAMPLES}")
     return n
 
 
@@ -273,8 +279,8 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
     n_in = max(n_in, _odd(math.ceil(needed) + 1))
     if n_in > MAX_AXIS_SAMPLES:
         raise ResolutionError(
-            f"resolving the kernel chirp needs n_{axis} = {n_in} input "
-            f"samples, above the ceiling of {MAX_AXIS_SAMPLES}")
+            f"resolving the kernel chirp needs n_{axis} = {_count(n_in)} "
+            f"input samples, above the ceiling of {MAX_AXIS_SAMPLES}")
     h = span / (n_in - 1)
     u = np.linspace(lo, hi, n_in)
     values_in = sources(u)
@@ -373,17 +379,10 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
                           engine: str = CLOSED_FORM,
                           grid: Grid1D | None = None) -> PropagationResult:
     """Spread-and-drift evolution of the spatial Gaussian by t_elapsed."""
-    if t_elapsed < 0:
-        raise DomainError("t_elapsed must be >= 0")
+    if t_elapsed <= 0:
+        raise DomainError("t_elapsed must be > 0")
     if engine not in ENGINES:
         raise DomainError(f"engine must be one of {ENGINES}")
-    if t_elapsed == 0.0:
-        comp = spatial_component(packet)
-        grid = grid or Grid1D(*_auto_axis([comp], "x"))
-        field = comp(grid.x)
-        n2 = float(simpson_weights(grid.n_x, grid.dx) @ np.abs(field) ** 2)
-        return PropagationResult(spatial=field, grid=grid, norm_before=n2,
-                                 norm_after=n2)
     spatial, (lo, hi), norms = _spatial_factor(packet, t_elapsed, engine,
                                                grid.x if grid else None)
     n_before, n_after = norms()

@@ -23,6 +23,13 @@ def _unit(lo: float, hi: float) -> float:
     return 4.0 if max(-lo, hi) > sys.float_info.max / 4 else 1.0
 
 
+def _opened(lo: float, hi: float) -> float:
+    """hi, or for a flat range (one sample, or a constant series) lo plus
+    1 or |lo|, whichever is larger: an offset that shows at any size. In
+    the chart's unit |lo| is at most a quarter of the float maximum."""
+    return hi if hi > lo else lo + max(1.0, abs(lo))
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -59,8 +66,7 @@ def line_chart(x, y, peaks=None, title: str = "", xlabel: str = "",
     x, x_lo, x_hi = x / x_unit, x_lo / x_unit, x_hi / x_unit
     y, y_lo, y_hi = y / y_unit, y_lo / y_unit, y_hi / y_unit
     peaks = [p / x_unit for p in peaks or ()]
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_hi, y_hi = _opened(x_lo, x_hi), _opened(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     # the padded range ends where a tick label, in the data's unit, is finite
     y_lo = max(y_lo - pad, -sys.float_info.max / y_unit)

@@ -335,6 +335,20 @@ class TestReadDetector:
                                     engine)
         assert outcome.norm_drift == field.norm_drift
 
+    @pytest.mark.parametrize("change", [{}, {"flight_distance": 3.3,
+                                             "momentum": 0.3},
+                                        {"detector_x": 5.0,
+                                         "spatial_center": -1.0}])
+    def test_control_norm_drift_is_its_packets_over_the_flight(self, change):
+        # the mixed state's norm is the spatial packet's, spread over the
+        # flight time (detector_x - spatial_center) / momentum
+        cfg = replace(DESK_SCALE, **change)
+        outcome = two_gate_run(SCHRODINGER, cfg)
+        field = propagate_schrodinger(
+            replace(build_packet(cfg).spatial, center_x=0.0),
+            (cfg.detector - cfg.spatial_center) / cfg.momentum)
+        assert outcome.norm_drift == field.norm_drift
+
 
 class TestWorkCounts:
     @staticmethod

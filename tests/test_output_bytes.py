@@ -139,8 +139,10 @@ M = sys.float_info.max
     (1e16 + 2.0 * np.arange(5), [0.0, 1.0, 0.0, 1.0, 0.0]),
     (np.arange(9.0), 1e16 + 2.0 * (np.arange(9) % 2)),
     (np.arange(9.0), 5e-324 * (np.arange(9) % 2)),
+    (np.arange(9.0), np.zeros(9)),
+    (np.arange(9.0), np.full(9, 1e300)),
 ], ids=["past-float-max", "x-one-ulp-apart", "y-one-ulp-apart",
-        "y-subnormal"])
+        "y-subnormal", "flat", "flat-at-1e300"])
 def test_chart_of_any_finite_trace_lies_in_its_box(x, y):
     # spans past the float maximum or below one tick step used to raise or
     # never end; every coordinate is in the box and every label finite

@@ -66,17 +66,11 @@ class TestSchrodinger:
         assert rel_l2(qd.field, cf.field) < 1e-6
         assert qd.norm_drift < 1e-6
 
-    def test_zero_elapsed_is_identity(self):
-        pk = GaussianSpatialPacket(0.0, 1.0, 0.5)
-        grid = Grid1D(-8.0, 8.0, 401)
-        res = propagate_schrodinger(pk, 0.0, grid=grid)
-        np.testing.assert_allclose(res.field, pk.amplitude(grid.x),
-                                   rtol=1e-12)
-
     def test_rejects_negative_time_and_bad_engine(self):
         pk = GaussianSpatialPacket()
-        with pytest.raises(DomainError):
-            propagate_schrodinger(pk, -1.0)
+        for t in (-1.0, 0.0):  # like propagate_spacetime at s <= 0
+            with pytest.raises(DomainError, match="t_elapsed must be > 0"):
+                propagate_schrodinger(pk, t)
         with pytest.raises(DomainError):
             propagate_schrodinger(pk, 1.0, engine="spectral")
 

@@ -293,11 +293,12 @@ class TestScenarioSweep:
     @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
     @pytest.mark.parametrize("theory", ["schrodinger_control", "floquet",
                                         "stueckelberg"])
-    def test_every_number_ends_in_a_documented_exit(self, tmp_path, theory,
-                                                    engine):
+    def test_every_number_ends_in_a_documented_exit(self, tmp_path, capsys,
+                                                    theory, engine):
         # each packet/sim number at 21 sizes, one key at a time: exit 0
         # with a trace that carries intensity and a strict-JSON report, or
-        # exit 2, 3 or 4
+        # exit 2, 3 or 4. No message prints an integer of more than 16
+        # digits: past 2^53 a sample count's last digits are float noise
         bad = []
         for section, key in _SWEEP_KEYS:
             for value in _SWEEP_VALUES:
@@ -311,6 +312,9 @@ class TestScenarioSweep:
                 except Exception as exc:
                     bad.append(f"{where}: {type(exc).__name__}: {exc}")
                     continue
+                printed = "".join(capsys.readouterr())
+                if re.search(r"(?<![\w.])\d{17,}(?![\w.])", printed):
+                    bad.append(f"{where}: {printed}")
                 if code not in (0, 2, 3, 4):
                     bad.append(f"{where}: exit {code}")
                 elif code == 0 and not trace_has_intensity(tmp_path / "out"):
@@ -327,6 +331,14 @@ class TestCliEstimate:
                                                       key, value):
         assert run_one_key(tmp_path, "estimate", "setup", key, value) == 4
         assert f"setup.{key}" in capsys.readouterr().err
+
+    def test_crude_product_overflow_is_domain_error(self, tmp_path, capsys):
+        # E_kin^(-3/2) overflows at a tiny kinetic energy
+        assert run_one_key(tmp_path, "estimate", "setup", "wavelength_nm",
+                           1e300) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: crude eps*T (s^2) = inf ")
+        assert "setup.wavelength_nm = 1e+300" in err
 
     def test_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -395,6 +407,7 @@ class TestCliSimulate:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["interference_visibility"] == 0.0
+        assert report["norm_drift"] < 1e-15
         assert report["no_fringes_expected"] is True
         assert report["time_grid"]["n_t"] == 129
         assert report["time_grid"]["samples_per_fringe"] is None
@@ -535,6 +548,40 @@ class TestCliSimulate:
                        "(|b| = 5e+307 before)\n")
         assert "nan" not in err
 
+    @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize("theory", ["floquet", "stueckelberg"])
+    def test_gaussian_gate_overlap_overflow_names_the_key(
+            self, tmp_path, capsys, theory, engine):
+        # w^2 = 1e308 is a float, pi w^2 is not; a rectangular gate's
+        # overlap takes no pi w^2 and runs
+        assert run_one_key(tmp_path, "simulate", "packet", "gate_width",
+                           1e154, "--theory", theory, "--engine",
+                           engine) == 4
+        assert capsys.readouterr().err.endswith(
+            "domain error: packet.gate_width = 1e+154: the Gaussian gates' "
+            "overlap pi w^2 leaves the float range\n")
+        if theory == "floquet":
+            sc = tmp_path / "rect.json"
+            sc.write_text(json.dumps({"packet": {
+                "gate_width": 1e154, "gate_profile": "rectangular"}}))
+            assert main(["simulate", "--scenario", str(sc), "--theory",
+                         theory, "--engine", engine,
+                         "--out", str(tmp_path / "rect")]) == 0
+
+    @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
+    def test_control_window_past_the_float_range_is_domain_error(
+            self, tmp_path, capsys, engine):
+        # the arrival window 2 (4 sigma + eps) overflows; it used to be
+        # exit 3 with a span and a sample count of inf
+        assert run_one_key(tmp_path, "simulate", "packet", "momentum",
+                           1e-154, "--theory", "schrodinger_control",
+                           "--engine", engine) == 4
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == ("domain error: the arrival window for packet.momentum"
+                       " = 1e-154, packet.spatial_width = 5 and "
+                       "packet.gate_spacing = 12 spans more than the float "
+                       "range")
+
     @pytest.mark.parametrize("theory", ["stueckelberg",
                                         "schrodinger_control"])
     def test_spatial_coefficient_overflow_is_domain_error(self, tmp_path,
@@ -577,7 +624,7 @@ class TestCliSimulate:
         ("floquet", "packet", "momentum", 1000, "n_x = 18472439"),
         ("floquet", "sim", "s_elapsed", 1e-3, "n_x = 34653275"),
         ("floquet", "packet", "spatial_width", 1e10,
-         "n_x = 13861217376939785846785"),
+         "n_x = 1.38612e+22"),
         ("stueckelberg", "packet", "carrier_energy", 1e10,
          "n_t = 2979380536287"),
     ])
@@ -749,6 +796,39 @@ class TestCliFringes:
         assert report["spacing_T"] == pytest.approx(
             sim_report["fringes"]["spacing_T"], rel=1e-9)
         assert (fr_out / "fringes.svg").exists()
+
+    @pytest.mark.parametrize("rows,why", [
+        ("".join(f"{t},{math.exp(-(t - 5) ** 2)!r}\n" for t in range(11)),
+         "found 1 peak(s); need at least 2"),
+        ("1.0,2.0\n", "central window too narrow for peak analysis"),
+        ("".join(f"{t},1e300\n" for t in range(11)),
+         "found 0 peak(s); need at least 2")],
+        ids=["one_bump", "one_row", "flat"])
+    def test_every_run_charts_its_own_trace(self, tmp_path, capsys, rows,
+                                            why):
+        # a trace without fringes into the --out of one with them: the
+        # chart is the new trace's, without peak markers
+        out = tmp_path / "fr"
+        assert main(["simulate", "--out", str(tmp_path / "sim")]) == 0
+        assert main(["fringes", "--trace", str(tmp_path / "sim" / "trace.csv"),
+                     "--out", str(out)]) == 0
+        assert "<circle" in (out / "fringes.svg").read_text()
+        trace = tmp_path / "bare.csv"
+        trace.write_text("t,intensity\n" + rows)
+        capsys.readouterr()
+        assert main(["fringes", "--trace", str(trace),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"no fringes: {why}\n"
+        assert json.loads((out / "report.json").read_text()) == {
+            "command": "fringes", "trace": str(trace), "no_fringes": why}
+        svg = (out / "fringes.svg").read_text()
+        assert "<desc>trace:bare.csv</desc>" in svg
+        assert "<circle" not in svg
+        points = re.search(r'points="([^"]+)"', svg)[1].split()
+        assert len(points) == rows.count("\n")
+        assert all(70.0 <= float(pt.split(",")[0]) <= 880.0
+                   and 40.0 <= float(pt.split(",")[1]) <= 430.0
+                   for pt in points)
 
     def test_non_numeric_cell_is_config_error(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
