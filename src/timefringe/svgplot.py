@@ -34,6 +34,11 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _escape(text: str) -> str:
+    """text as XML character data: a file name may hold & < >."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, target: int = 8) -> list:
     span = hi - lo
     raw = span / target
@@ -82,6 +87,7 @@ def line_chart(x, y, peaks=None, title: str = "", xlabel: str = "",
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
                f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
+    meta, title, xlabel, ylabel = map(_escape, (meta, title, xlabel, ylabel))
     if meta:
         out.append(f"  <desc>{meta}</desc>")
     out.append(f'  <rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
@@ -120,16 +126,55 @@ def line_chart(x, y, peaks=None, title: str = "", xlabel: str = "",
                    f'{(MARGIN_T + y0) // 2})">{ylabel}</text>')
     # sx and sy on whole arrays do the per-point arithmetic in the same
     # order, so the doubles and the file stay the same
-    pts = " ".join(map("{:.2f},{:.2f}".format, sx(x).tolist(),
-                       sy(y).tolist()))
-    out.append(f'  <polyline points="{pts}" fill="none" stroke="#1f4e9c" '
-               'stroke-width="1.2"/>')
+    out.append(f'  <polyline points="{_points(sx(x), sy(y))}" fill="none" '
+               'stroke="#1f4e9c" stroke-width="1.2"/>')
     if peaks:
         for pt, yy in zip(peaks, _heights_at(x, y, peaks)):
             out.append(f'  <circle cx="{sx(pt):.2f}" cy="{sy(yy):.2f}" r="3.5" '
                        'fill="none" stroke="#c23b22" stroke-width="1.5"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    """"x,y x,y ..." with each coordinate as "{:.2f}" writes it. Raises
+    ValueError unless every coordinate is finite, carries no minus sign
+    and rounds below 1000.00."""
+    v = np.column_stack((x, y)).ravel()
+    if not v.max() < 1000 or np.signbit(v).any():
+        raise ValueError("polyline coordinates must lie in [0, 1000)")
+    n = _hundredths(v)
+    if n.max() >= 100000:
+        raise ValueError("a polyline coordinate rounds to 1000.00")
+    # floor(n / 10^k), exact in doubles; differences of neighbours give the
+    # digits of hundreds, tens, units, tenths and hundredths
+    d = np.floor(n / [[1e4], [1e3], [1e2], [10], [1]])
+    keep = np.ones((v.size, 7), bool)  # the integer part's leading zeros go
+    keep[:, 0] = d[0] > 0
+    keep[:, 1] = d[1] > 0
+    d[1:] -= 10 * d[:-1]
+    d += ord("0")
+    text = np.empty((v.size, 7), np.uint8)
+    text[:, [0, 1, 2, 4, 5]] = d.T
+    text[:, 3] = ord(".")
+    text[0::2, 6] = ord(",")
+    text[1::2, 6] = ord(" ")
+    return text[keep].tobytes()[:-1].decode("ascii")
+
+
+def _hundredths(v: np.ndarray) -> np.ndarray:
+    """100 v rounded half to even from the exact binary value of each
+    v >= 0, as "{:.2f}" rounds, in int64 arithmetic; exact for v < 2^20.
+    v = m 2^(e-53) with m an integer below 2^53 (np.frexp), so 100 v is
+    100 m shifted right by s = 53 - e. Adding half a unit less one, plus
+    one where the truncated quotient is odd, before the shift rounds half
+    to even. Past s = 62, 100 v < 1/4 and rounds to 0."""
+    f, e = np.frexp(v)
+    m = np.ldexp(f, 53).astype(np.int64)
+    m *= 100
+    s = np.minimum(53 - e.astype(np.int64), 62)
+    m += ((m >> s) & 1) + np.left_shift(1, s - 1) - 1
+    return m >> s
 
 
 def _heights_at(x: np.ndarray, y: np.ndarray, points) -> list:

@@ -10,9 +10,12 @@ import os
 import re
 import stat
 import sys
+from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timefringe import cli, svgplot
 from timefringe.errors import ConfigError, NoFringes
@@ -88,12 +91,19 @@ def _marker_times(trace):
                     float(t[0]) - 1.0, float(t[-1]) + 1.0]
 
 
-@pytest.fixture(scope="module", params=[(th, en) for th in THEORIES
-                                        for en in ENGINES],
-                ids=lambda p: f"{p[0]}-{p[1]}")
+# the desk default, and a long flight at a wide spacing: the longest traces
+# a benchmark deck draws, 1907 samples (stueckelberg) and 1347 (floquet)
+DECK_SCALE = {"flight_distance": 4.0, "gate_spacing": 48.0}
+
+
+@pytest.fixture(scope="module", params=[
+    *((th, en, {}) for th in THEORIES for en in ENGINES),
+    *((th, en, DECK_SCALE) for th in ("stueckelberg", "floquet")
+      for en in ENGINES)],
+    ids=lambda p: f"{p[0]}-{p[1]}" + ("-eps48-L4" if p[2] else ""))
 def trace(request):
-    theory, engine = request.param
-    return two_gate_run(theory, TwoGateConfig(engine=engine)).trace
+    theory, engine, scale = request.param
+    return two_gate_run(theory, TwoGateConfig(engine=engine, **scale)).trace
 
 
 @pytest.mark.filterwarnings(
@@ -154,6 +164,56 @@ def test_chart_of_any_finite_trace_lies_in_its_box(x, y):
     assert all(0.0 <= v <= svgplot.WIDTH for v in coords)
     labels = re.findall(r'font-size="11">([^<]+)<', svg)
     assert labels and all(math.isfinite(float(v)) for v in labels)
+
+
+def reference_points(x, y):
+    return " ".join(map("{:.2f},{:.2f}".format, x, y))
+
+
+def test_points_round_every_half_cent_as_format_does():
+    # each k/200 is a half-cent or a cent; its neighbours sit one ulp to
+    # either side of the tie
+    k = np.arange(200_000) / 200
+    v = np.concatenate([k, np.nextafter(k, 0), np.nextafter(k, 1000),
+                        [0.0, 5e-324, 0.125, 0.375, 899.995, 999.994]])
+    v = v[[f"{a:.2f}" != "1000.00" for a in v.tolist()]]
+    x, y = v[: v.size // 2], v[v.size // 2: 2 * (v.size // 2)]
+    assert svgplot._points(x, y) == reference_points(x.tolist(), y.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0, 1000, exclude_max=True), min_size=2,
+                max_size=40))
+def test_points_match_format_on_any_float_below_1000(values):
+    x, y = values[::2][: len(values) // 2], values[1::2]
+    if "1000.00" in reference_points(x, y):
+        with pytest.raises(ValueError, match="rounds to 1000.00"):
+            svgplot._points(np.array(x), np.array(y))
+    else:
+        assert svgplot._points(np.array(x), np.array(y)) == \
+            reference_points(x, y)
+
+
+@pytest.mark.parametrize("bad", [
+    -0.0, -5e-324, -1.0, math.nan, math.inf, -math.inf, 1000.0,
+    np.nextafter(999.995, 1000), 1e300])
+def test_points_outside_their_domain_raise(bad):
+    # "{:.2f}" would write -0.00, nan, inf or four integer digits: none of
+    # them is written, whichever axis holds the value
+    for x, y in (([bad, 1.0], [2.0, 3.0]), ([1.0, 2.0], [3.0, bad])):
+        with pytest.raises(ValueError):
+            svgplot._points(np.array(x), np.array(y))
+
+
+def test_chart_text_nodes_escape_markup():
+    names = {"title": "a&b", "xlabel": "t<0", "ylabel": "I>0",
+             "meta": "trace:a&b<c>.csv"}
+    svg = svgplot.line_chart([0.0, 1.0], [0.0, 1.0], **names)
+    doc = minidom.parseString(svg)
+    texts = [n.firstChild.data for n in doc.getElementsByTagName("text")]
+    assert doc.getElementsByTagName("desc")[0].firstChild.data == \
+        names["meta"]
+    assert {"a&b", "t<0", "I>0"} <= set(texts)
 
 
 # ----------------------------------------------------- reference reader

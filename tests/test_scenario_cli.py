@@ -7,6 +7,7 @@ import sys
 import threading
 import warnings
 from dataclasses import fields
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -829,6 +830,24 @@ class TestCliFringes:
         assert all(70.0 <= float(pt.split(",")[0]) <= 880.0
                    and 40.0 <= float(pt.split(",")[1]) <= 430.0
                    for pt in points)
+
+    @pytest.mark.parametrize("found", [True, False],
+                             ids=["fringes", "no_fringes"])
+    def test_file_name_with_markup_gives_well_formed_chart(self, tmp_path,
+                                                           capsys, found):
+        name = "a&b<c>.csv"
+        trace = tmp_path / name
+        if found:
+            assert main(["simulate", "--out", str(tmp_path / "sim")]) == 0
+            trace.write_bytes((tmp_path / "sim" / "trace.csv").read_bytes())
+        else:
+            trace.write_text("t,intensity\n0,0\n1,1\n2,0\n")
+        out = tmp_path / "fr"
+        assert main(["fringes", "--trace", str(trace), "--out", str(out)]) == 0
+        doc = minidom.parse(str(out / "fringes.svg"))
+        assert doc.getElementsByTagName("desc")[0].firstChild.data == \
+            f"trace:{name}"
+        assert bool(doc.getElementsByTagName("circle")) is found
 
     def test_non_numeric_cell_is_config_error(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
