@@ -100,12 +100,10 @@ def _write_report(out: Path, report: dict) -> None:
 
 
 def _write_trace_csv(path: Path, trace: IntensityTrace) -> None:
-    body = "".join(map("{:.17g},{:.17g}\r\n".format, trace.times.tolist(),
-                       trace.intensity.tolist()))
+    pairs = np.column_stack((trace.times, trace.intensity)).ravel().tolist()
     with _rewrite(path, newline="") as fh:
-        csv.writer(fh).writerow(["t (internal time)",
-                                 "intensity (internal, |psi|^2)"])
-        fh.write(body)
+        fh.write('t (internal time),"intensity (internal, |psi|^2)"\r\n')
+        fh.write(("%.17g,%.17g\r\n" * len(trace.times)) % tuple(pairs))
 
 
 def cmd_estimate(args) -> int:
@@ -266,32 +264,54 @@ def cmd_scan(args) -> int:
 
 
 def _read_trace_csv(path: Path) -> tuple:
-    """(times, intensity) read row by row; names the first bad line."""
-    times, intensity = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    """(times, intensity) from one np.loadtxt pass over the lines after the
+    header; names the first bad line, data line k being file line k + 2."""
+    def bad(line: int, what: str) -> ConfigError:
+        return ConfigError(f"trace CSV line {line}: {what}")
+    try:
+        with open(path, encoding="utf-8") as fh:  # \r\n and \r read as \n
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # exc.object holds the whole file
+        raise bad(len(exc.object[:exc.start + 1].splitlines()),
+                  f"not UTF-8 text ({exc.reason})") from exc
+    if not text:
+        raise ConfigError("trace CSV is empty")
+    lines = text.split("\n")[1:]
+    if lines[-1:] == [""]:
+        lines.pop()  # the last line's line break
+    # np.loadtxt would skip a blank line, so the rows end before the first
+    end = lines.index("") if "" in lines else len(lines)
+    load = functools.partial(np.loadtxt, delimiter=",", usecols=(0, 1),
+                             ndmin=2, quotechar='"', comments=None)
+    try:
+        pairs = load(lines[:end]) if end else np.empty((0, 2))
+    except ValueError:  # bisect: lines[:lo] load and lines[:end] do not
+        lo, pairs = 0, np.empty((0, 2))
+        while end - lo > 1:
+            mid = (lo + end) // 2
+            try:
+                pairs, lo = load(lines[:mid]), mid
+            except ValueError:
+                end = mid
+        end = lo
 
-        def bad(what: str) -> ConfigError:
-            return ConfigError(f"trace CSV line {reader.line_num}: {what}")
-        try:
-            if next(reader, None) is None:
-                raise ConfigError("trace CSV is empty")
-            for row in reader:
-                try:
-                    t, i = float(row[0]), float(row[1])
-                except (ValueError, IndexError) as exc:
-                    raise bad(f"expected two numbers, got {row!r}") from exc
-                if not (math.isfinite(t) and math.isfinite(i)):
-                    raise bad(f"expected two finite numbers, got {row!r}")
-                if times and t <= times[-1]:
-                    raise bad(f"time {t!r} does not come after {times[-1]!r}")
-                if i < 0:
-                    raise bad(f"intensity {i!r} is negative")
-                times.append(t)
-                intensity.append(i)
-        except csv.Error as exc:  # such as a cell past csv.field_size_limit()
-            raise bad(str(exc)) from exc
-    return np.asarray(times), np.asarray(intensity)
+    def cells(k: int) -> list:  # data line k as the csv module splits it
+        return next(csv.reader([lines[k]]))
+    times, intensity = pairs.T.copy()
+    ok = np.isfinite(times) & np.isfinite(intensity) & (intensity >= 0)
+    ok[1:] &= times[1:] > times[:-1]
+    if not ok.all():
+        k = int(ok.argmin())
+        t, i = float(times[k]), float(intensity[k])
+        if not (math.isfinite(t) and math.isfinite(i)):
+            raise bad(k + 2, f"expected two finite numbers, got {cells(k)!r}")
+        if k and t <= times[k - 1]:
+            raise bad(k + 2, f"time {t!r} does not come after "
+                      f"{float(times[k - 1])!r}")
+        raise bad(k + 2, f"intensity {i!r} is negative")
+    if end < len(lines):
+        raise bad(end + 2, f"expected two numbers, got {cells(end)!r}")
+    return times, intensity
 
 
 def cmd_fringes(args) -> int:

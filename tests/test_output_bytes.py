@@ -14,12 +14,13 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from timefringe import cli, svgplot
 from timefringe.errors import ConfigError, NoFringes
-from timefringe.experiments import TwoGateConfig, extract_fringes, two_gate_run
+from timefringe.experiments import (IntensityTrace, TwoGateConfig,
+                                    extract_fringes, two_gate_run)
 from timefringe.propagation import ENGINES, THEORIES
 
 
@@ -219,8 +220,9 @@ def test_chart_text_nodes_escape_markup():
 # ----------------------------------------------------- reference reader
 
 def reference_read(path):
+    """The row-by-row reader that np.loadtxt replaced, on UTF-8 text."""
     times, intensity = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -260,8 +262,9 @@ PARSE_CASES = [
     ("header_no_newline", HEADER),
     ("empty", ""),
     ("blank_header", "\n" + "\n".join(ROWS) + "\n"),
-    ("multiline_header", 't,"a\nb"\n0,1\n2,3\n'),
-    ("spaces_and_underscores", "t,i\n 0.5 ,1_0\n1.5,\t2\n"),
+    ("spaces", "t,i\n 0.5 ,10\n1.5,\t2\n"),
+    ("utf8_bom", "\ufeff" + HEADER + "\r\n" + "\r\n".join(ROWS) + "\r\n"),
+    ("nul_in_cell", f"t,i\n{ROWS[0]}\n0.5,1\x00\n"),
     ("blank_middle", f"t,i\n{ROWS[0]}\n\n{ROWS[1]}\n"),
     ("blank_middle_crlf", f"t,i\r\n{ROWS[0]}\r\n\r\n{ROWS[1]}\r\n"),
     ("blank_end", f"t,i\n{ROWS[0]}\n\n"),
@@ -288,6 +291,32 @@ PARSE_CASES = [
     ("negative_zero_after_zero", "t,i\n0,1\n-0.0,1\n"),
     ("negative_intensity", f"t,i\n{ROWS[0]}\n1,-1e-320\n"),
     ("negative_zero_intensity", f"t,i\n{ROWS[0]}\n1,-0.0\n"),
+    # the first bad line in the file is named, whichever check finds it
+    ("bad_cell_before_blank", f"t,i\n0.5,x\n\n{ROWS[1]}\n"),
+    ("nan_before_bad_cell", f"t,i\n{ROWS[0]}\n0.5,nan\n0.6,x\n"),
+    ("earlier_time_before_blank", f"t,i\n{ROWS[2]}\n{ROWS[0]}\n\n"),
+    ("late_bad_cell", "t,i\n" + "".join(f"{k},1\n" for k in range(37))
+     + "37,x\n38,1\n39,\n"),
+]
+
+
+# (name, file bytes, error) where the row loop's outcome changed on purpose:
+# it took 1_0 and non-ASCII digits as float() does, read a header of two physical lines, named a
+# row with a quoted line break by its last line, and raised
+# UnicodeDecodeError on a file that is not UTF-8
+CHANGED_CASES = [
+    ("underscore_in_number", b"t,i\n 0.5 ,1_0\n1.5,\t2\n",
+     "line 2: expected two numbers, got [' 0.5 ', '1_0']"),
+    ("non_ascii_digit", "t,i\n\u0661,1\n".encode(),
+     "line 2: expected two numbers, got ['\u0661', '1']"),
+    ("multiline_header", b't,"a\nb"\n0,1\n2,3\n',
+     "line 2: expected two numbers, got ['b\"']"),
+    ("quoted_newline_error", b't,i\n"0.5\n",x\n',
+     "line 2: expected two numbers, got ['0.5']"),
+    ("not_utf8", b"t,i\n0,1\n\xff\xfe,2\n",
+     "line 3: not UTF-8 text (invalid start byte)"),
+    ("not_utf8_cr", b"t,i\r0,1\r\r\n1,\xe9\r",
+     "line 4: not UTF-8 text (invalid continuation byte)"),
 ]
 
 
@@ -302,8 +331,7 @@ def _outcome(read, path):
                          ids=[c[0] for c in PARSE_CASES])
 def test_trace_parse_matches_row_loop(tmp_path, name, text):
     path = tmp_path / "trace.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    path.write_bytes(text.encode())
     want = _outcome(reference_read, path)
     got = _outcome(cli._read_trace_csv, path)
     if isinstance(want, str):
@@ -316,39 +344,56 @@ def test_trace_parse_matches_row_loop(tmp_path, name, text):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_oversized_cell_is_config_error(tmp_path, capsys):
-    # the reader turns csv.Error into a configuration error naming the line
+@pytest.mark.parametrize("name,text,error", CHANGED_CASES,
+                         ids=[c[0] for c in CHANGED_CASES])
+def test_trace_parse_changed_from_row_loop(tmp_path, capsys, name, text,
+                                           error):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError) as info:
+        cli._read_trace_csv(path)
+    assert str(info.value) == f"trace CSV {error}"
+    out = tmp_path / "out"
+    assert cli.main(["fringes", "--trace", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: trace CSV {error}\n"
+    assert not out.exists()
+
+
+def test_oversized_cell_is_read_as_its_number(tmp_path):
+    # the row loop raised csv.Error on a cell past csv.field_size_limit(),
+    # a limit of the csv module that np.loadtxt does not have
     path = tmp_path / "trace.csv"
     cell = "1" * csv.field_size_limit()
-    for text, line in [(f"t,i\n0.5,0.{cell}\n", 2),
-                       (f"t{cell},i\n0.5,0.1\n", 1),
-                       (f"t,i\n0.5,0.1\n0.6,\"0.{cell}\n", 3)]:
+    big = float(f"0.{cell}")
+    for text, times, intensity in [
+            (f"t,i\n0.5,0.{cell}\n", [0.5], [big]),
+            (f"t{cell},i\n0.5,0.1\n", [0.5], [0.1]),
+            (f"t,i\n0.5,0.1\n0.6,\"0.{cell}\n", [0.5, 0.6], [0.1, big])]:
         path.write_text(text)
         with pytest.raises(csv.Error):
             reference_read(path)
-        with pytest.raises(ConfigError, match=f"trace CSV line {line}: "
-                           "field larger than field limit"):
-            cli._read_trace_csv(path)
-        assert cli.main(["fringes", "--trace", str(path),
-                         "--out", str(tmp_path / "out")]) == 2
-        assert (f"config error: trace CSV line {line}:"
-                in capsys.readouterr().err)
+        got = cli._read_trace_csv(path)
+        assert [a.tolist() for a in got] == [times, intensity]
 
 
 @pytest.mark.parametrize("name,message", [
+    ("empty", "is empty"),
     ("header_only", "has no data rows"),
     ("header_no_newline", "has no data rows"),
-    ("blank_only_body", "line 2: expected two numbers")])
+    ("blank_only_body", "line 2: expected two numbers, got []"),
+    ("blank_middle", "line 3: expected two numbers, got []"),
+    ("blank_end_crlf", "line 3: expected two numbers, got []"),
+    ("comment_line", "line 2: expected two numbers, got ['# note']")])
 def test_trace_without_data_rows_is_config_error(tmp_path, capsys, name,
                                                  message):
-    # the reader returns empty arrays for a header alone, and names the
-    # blank row; fringes refuses both before it makes --out
+    # the reader returns empty arrays for a header alone, and names a blank
+    # or # line, which np.loadtxt would skip; fringes refuses each before it
+    # makes --out, and prints no loadtxt "input contained no data" warning
     path = tmp_path / "trace.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(dict(PARSE_CASES)[name])
+    path.write_bytes(dict(PARSE_CASES)[name].encode())
     out = tmp_path / "out"
     assert cli.main(["fringes", "--trace", str(path), "--out", str(out)]) == 2
-    assert f"config error: trace CSV {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: trace CSV {message}\n"
     assert not out.exists()
 
 
@@ -358,6 +403,35 @@ def test_written_trace_reads_back_bit_for_bit(tmp_path, trace):
     assert np.array_equal(times.view(np.int64), trace.times.view(np.int64))
     assert np.array_equal(intensity.view(np.int64),
                           trace.intensity.view(np.int64))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGES = [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+         1.7976931348623155e308, sys.float_info.max]
+
+
+@given(times=st.lists(FINITE, min_size=1, max_size=40, unique=True)
+       .map(sorted),
+       intensity=st.lists(st.one_of(st.sampled_from(EDGES),
+                                    FINITE.map(abs)), min_size=40,
+                          max_size=40))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_trace_round_trips_bit_for_bit(tmp_path, times, intensity):
+    # each example rewrites the same file in place
+    path = tmp_path / "trace.csv"
+    trace = IntensityTrace(times=np.array(times),
+                           intensity=np.array(intensity[:len(times)]),
+                           detector_x=float("nan"), theory="any")
+    cli._write_trace_csv(path, trace)
+    assert path.read_bytes().decode() == (
+        't (internal time),"intensity (internal, |psi|^2)"\r\n'
+        + "".join(map("{:.17g},{:.17g}\r\n".format, trace.times.tolist(),
+                      trace.intensity.tolist())))
+    got = cli._read_trace_csv(path)
+    for a, b in zip(got, (trace.times, trace.intensity)):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 # ------------------------------------------------------ in-place rewrites
