@@ -25,13 +25,12 @@ import numpy as np
 from .errors import DomainError, NoFringes, OverlapWarning
 from .packets import (GAUSSIAN, GATE_PROFILES, GaussianSpatialPacket,
                       SpacetimePacket, TimeGate)
-from .propagation import (CLOSED_FORM, ENGINES, SCHRODINGER, STUECKELBERG,
-                          THEORIES, axis_samples, component_overlap,
-                          propagate_component, read_field, spatial_component)
+from .propagation import (CLOSED_FORM, ENGINES, STUECKELBERG, THEORIES,
+                          detector_trace)
 # perfbench/tracing.py wraps these by name in this module; two_gate_run
 # calls none of them.
-from .propagation import (auto_output_grid, propagate_floquet,  # noqa
-                          propagate_stueckelberg)
+from .propagation import (auto_output_grid, propagate_component,  # noqa
+                          propagate_floquet, propagate_stueckelberg)
 
 # below this covariant interference visibility the peaks of a trace may be
 # the two gate envelopes, not fringes: at L = 1.5, eps = 72 (V = 0.0063)
@@ -81,7 +80,12 @@ class TwoGateConfig:
     def s_star(self) -> float:
         if self.s_elapsed is not None:
             return self.s_elapsed
-        return self.flight_distance / self.momentum
+        s = self.flight_distance / self.momentum
+        if not math.isfinite(s):
+            raise DomainError(
+                f"s* = M L / p overflows for flight_distance = "
+                f"{self.flight_distance:g} and momentum = {self.momentum:g}")
+        return s
 
     @property
     def carrier(self) -> float:
@@ -106,22 +110,6 @@ class TwoGateConfig:
 DESK_SCALE = TwoGateConfig()
 
 
-def _spatial_packet(cfg: TwoGateConfig) -> GaussianSpatialPacket:
-    """The spatial Gaussian, whose coefficients 1/2w^2, x0/w^2, its square
-    and x0^2/2w^2, and its normalization pi w^2, must lie inside the float
-    range."""
-    w, x0 = cfg.spatial_width, cfg.spatial_center
-    w2 = w * w
-    if not (0.0 < w2 and math.pi * w2 < math.inf and 0.5 / w2 < math.inf
-            and x0 * x0 / w2 < math.inf
-            and (x0 / w2) * (x0 / w2) < math.inf):
-        raise DomainError(f"spatial_width = {w:g}, spatial_center = {x0:g}: "
-                          "the Gaussian's coefficients or its normalization "
-                          "leave the float range")
-    return GaussianSpatialPacket(center_x=x0, width_sigma_x=w,
-                                 mean_momentum_p0=cfg.momentum)
-
-
 def build_packet(cfg: TwoGateConfig) -> SpacetimePacket:
     w2 = cfg.gate_width * cfg.gate_width
     if not 0.0 < w2 < math.inf:
@@ -136,7 +124,17 @@ def build_packet(cfg: TwoGateConfig) -> SpacetimePacket:
         if not value * value < math.inf:
             raise DomainError(f"{key} = {value:g}: its square leaves the "
                               "float range")
-    spatial = _spatial_packet(cfg)
+    # the spatial Gaussian's coefficients and normalization must be floats
+    w, x0 = cfg.spatial_width, cfg.spatial_center
+    w2 = w * w
+    if not (0.0 < w2 and math.pi * w2 < math.inf and 0.5 / w2 < math.inf
+            and x0 * x0 / w2 < math.inf
+            and (x0 / w2) * (x0 / w2) < math.inf):
+        raise DomainError(f"spatial_width = {w:g}, spatial_center = {x0:g}: "
+                          "the Gaussian's coefficients or its normalization "
+                          "leave the float range")
+    spatial = GaussianSpatialPacket(center_x=x0, width_sigma_x=w,
+                                    mean_momentum_p0=cfg.momentum)
     gates = (TimeGate(center_t=0.0, width_delta_t=cfg.gate_width,
                       profile=cfg.gate_profile),
              TimeGate(center_t=cfg.gate_spacing, width_delta_t=cfg.gate_width,
@@ -177,7 +175,7 @@ class TwoGateOutcome:
     trace: IntensityTrace
     incoherent_trace: IntensityTrace
     interference_visibility: float
-    s_elapsed: float
+    s_elapsed: float  # the flight parameter used; the control's flight time
     predicted_spacing: float | None
     engine: str  # the engine that ran
     drift: Callable[[], float] = field(repr=False, compare=False)
@@ -189,48 +187,6 @@ class TwoGateOutcome:
         return self.drift()
 
 
-def _control_pulses(cfg: TwoGateConfig) -> tuple:
-    """Each gate's pulse propagated separately; intensities added: the
-    times, that intensity, and a function returning the packet's norm^2
-    before and after its flight time.
-
-    There is no joint amplitude: standard evolution carries no mechanism
-    for coherence between emissions at different times, so the output is a
-    mixed state and the cross term is absent by construction.
-    """
-    # free evolution commutes with translations: the packet starts at 0
-    # and the detector sits at the distance it has to travel
-    comp0 = spatial_component(replace(_spatial_packet(cfg), center_x=0.0))
-    distance = cfg.detector - cfg.spatial_center
-    t_flight = distance / cfg.momentum
-    if not 0.0 < t_flight < math.inf:
-        raise DomainError(
-            f"flight time (detector_x - spatial_center) / momentum = "
-            f"{t_flight:g} is not positive and finite")
-
-    spread = propagate_component(comp0, 1.0, t_flight)
-    sigma_arrival = spread.intensity_sigma / cfg.momentum
-    center = t_flight + 0.5 * cfg.gate_spacing
-    half = 4.0 * sigma_arrival + cfg.gate_spacing
-    if not 2.0 * half < math.inf:
-        raise DomainError(
-            f"the arrival window for packet.momentum = {cfg.momentum:g}, "
-            f"packet.spatial_width = {cfg.spatial_width:g} and "
-            f"packet.gate_spacing = {cfg.gate_spacing:g} spans more than "
-            "the float range")
-    n_t = axis_samples(2.0 * half, sigma_arrival, "arrival pulses of width")
-    times = np.linspace(center - half, center + half, n_t)
-
-    # one row per gate: each pulse reaches the detector after it opens
-    elapsed = times - np.array([[0.0], [cfg.gate_spacing]])
-    later = elapsed > 0
-    comp = propagate_component(comp0, 1.0, elapsed[later])
-    pulses = np.zeros(elapsed.shape)
-    pulses[later] = 0.5 * np.abs(comp(distance)) ** 2
-    return times, pulses[0] + pulses[1], lambda: tuple(
-        component_overlap(c, c).real for c in (comp0, spread))
-
-
 def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome:
     """Propagate the two-gate packet to the detector under one theory and
     return the detector-time trace plus its incoherent reference."""
@@ -239,29 +195,9 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
     if 0 < cfg.gate_spacing < cfg.gate_width:
         warnings.warn("gates are wider than their spacing: overlapping-gate "
                       "regime", OverlapWarning, stacklevel=2)
-    s = cfg.s_star
-    if not math.isfinite(s):
-        raise DomainError(
-            f"s* = M L / p overflows for flight_distance = "
-            f"{cfg.flight_distance:g} and momentum = {cfg.momentum:g}")
-
-    # each theory gives its times, its intensity, its incoherent reference
-    # and its norm^2 before and after
-    if theory == SCHRODINGER:
-        if cfg.engine != CLOSED_FORM:
-            warnings.warn(f"{SCHRODINGER} has no {cfg.engine} path: it runs "
-                          f"in {CLOSED_FORM}", stacklevel=2)
-        engine = CLOSED_FORM
-        times, intensity, norms = _control_pulses(cfg)
-        inc_intensity = intensity  # a mixed state has no cross term
-    else:
-        engine = cfg.engine
-        # the field is X(x) sum_k T_k(t); the incoherent reference drops
-        # the cross terms between gates
-        x_d, _, times, temporal, norms = read_field(
-            build_packet(cfg), theory, s, engine, cfg.detector)
-        intensity = np.abs(x_d * sum(temporal)) ** 2
-        inc_intensity = sum(np.abs(x_d * tk) ** 2 for tk in temporal)
+    times, intensity, inc_intensity, norms, engine, s = detector_trace(
+        build_packet(cfg), theory, lambda: cfg.s_star, cfg.engine,
+        cfg.detector)
 
     trace = IntensityTrace(times=times, intensity=intensity,
                            detector_x=cfg.detector, theory=theory)

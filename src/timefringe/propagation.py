@@ -2,6 +2,11 @@
 oracle) and a Simpson quadrature engine (general path), plus Hamilton-relation
 drift diagnostics.
 
+The theories differ only in the time rule that detector_trace reads at the
+detector: nothing happens on t (the control: each gate launches the spatial
+packet, and the pulses add as intensities), each gate shifts rigidly by s
+(floquet), or each gate spreads with effective mass -M c^2 (stueckelberg).
+
 The closed-form engine rests on one completed-square integral,
 
     int dx' C exp(i beta (x-x')^2) exp(-a x'^2 + b x')
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +150,8 @@ def spatial_component(packet: GaussianSpatialPacket) -> GaussianComponent1D:
 
 def gate_component(gate, mean_energy: float) -> GaussianComponent1D:
     if gate.profile != GAUSSIAN:
-        raise DomainError("closed-form engine handles Gaussian gates only")
+        raise DomainError("the automatic covariant time axis is sized in "
+                          "closed form, for Gaussian gates only")
     amp = complex(gate.amplitude)
     if amp == 0:
         raise DomainError("zero-amplitude gate has no log-amplitude")
@@ -397,8 +404,8 @@ def _temporal_factor(packet: SpacetimePacket, theory: str, s: float,
                      engine: str, t=None) -> tuple:
     """The gate terms T_k after propagation by s under theory, on the time
     axis t (the automatic one when None); t; and a function returning the
-    norm^2 of their sum before and after. This is the time rule: each gate
-    is shifted rigidly by s (exact under either engine), and the axis
+    norm^2 of their sum before and after. This is the time rule by s: each
+    gate is shifted rigidly by s (exact under either engine), and the axis
     samples the gate width; or it is spread with mass -M c^2, and the axis
     samples the spread intensity (_auto_axis). In closed form the unspread
     gates are built again only when the norms are read."""
@@ -436,17 +443,58 @@ def _temporal_factor(packet: SpacetimePacket, theory: str, s: float,
     return values, t, lambda: (before, after)
 
 
+def _control_trace(packet: SpacetimePacket, engine: str, x_d: float) -> tuple:
+    """The control's time rule, nothing on t: gate k launches X at its
+    centre t_k, the detector x_d sees it spread by t - t_k, and the N
+    launches, 1/N of the photon each, add as intensities with no cross term:
+    standard evolution gives no coherence between emissions at different
+    times. It returns what detector_trace does, on a window of 4 arrival-pulse
+    sigmas around the arrivals, for the flight time (x_d - x_0) / p_0."""
+    if engine != CLOSED_FORM:
+        warnings.warn(f"{SCHRODINGER} has no {engine} path: it runs in "
+                      f"{CLOSED_FORM}", stacklevel=3)
+    spatial, starts = packet.spatial, [g.center_t for g in packet.gates]
+    p0, width = spatial.mean_momentum_p0, spatial.width_sigma_x
+    # free evolution commutes with translations: X starts at 0 and the
+    # detector sits at the distance it has to travel
+    comp0 = gaussian_component(0.0, width, p0)
+    distance = x_d - spatial.center_x
+    flight = distance / p0
+    if not 0.0 < flight < math.inf:
+        raise DomainError(
+            f"flight time (detector_x - spatial_center) / momentum = "
+            f"{flight:g} is not positive and finite")
+    spread = propagate_component(comp0, 1.0, flight)
+    sigma = spread.intensity_sigma / p0
+    center = flight + 0.5 * (min(starts) + max(starts))
+    half = 4.0 * sigma + (max(starts) - min(starts))
+    if not 2.0 * half < math.inf:
+        raise DomainError(
+            f"the arrival window for packet.momentum = {p0:g}, "
+            f"packet.spatial_width = {width:g} and packet.gate_spacing = "
+            f"{max(starts) - min(starts):g} spans more than the float range")
+    times = _output_axis(center - half, center + half, axis_samples(
+        2.0 * half, sigma, "arrival pulses of width"), "time")
+    # one row per gate: each pulse reaches the detector after it opens
+    elapsed = times - np.array(starts)[:, None]
+    later = elapsed > 0
+    pulses = np.zeros(elapsed.shape)
+    pulses[later] = np.abs(propagate_component(
+        comp0, 1.0, elapsed[later])(distance)) ** 2 / len(starts)
+    intensity = pulses.sum(axis=0)
+    return times, intensity, intensity, lambda: tuple(
+        component_overlap(c, c).real
+        for c in (comp0, spread)), CLOSED_FORM, flight
+
+
 def auto_output_grid(packet: SpacetimePacket, theory: str,
                      s: float) -> Grid2D:
-    """The grid propagate_spacetime builds when given none: t from the time
-    rule (_temporal_factor), x from _auto_axis."""
-    _, t, _ = _temporal_factor(packet, theory, s, CLOSED_FORM)
-    moved = propagate_component(spatial_component(packet.spatial), 1.0, s)
-    return Grid2D(*_auto_axis([moved], "x"), t[0], t[-1], len(t))
+    """The grid propagate_spacetime builds when given none."""
+    return propagate_spacetime(packet, theory, s).grid
 
 
-def read_field(packet: SpacetimePacket, theory: str, s: float, engine: str,
-               x=None, t=None) -> tuple:
+def _read_field(packet: SpacetimePacket, theory: str, s: float, engine: str,
+                x=None, t=None) -> tuple:
     """The field X(x) sum_k T_k(t) of packet propagated by s under theory, in
     factored form: X at x (_spatial_factor); the x range; the time axis t
     and the T_k on it (_temporal_factor); and a function returning the
@@ -465,18 +513,34 @@ def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
                         grid: Grid2D | None = None) -> PropagationResult:
     """Propagate a space-time packet by s under the time-shift (Floquet) or
     covariant (Stueckelberg) theory onto grid, the automatic one when None;
-    the field stays rank-1 (read_field)."""
+    the field stays rank-1 (_read_field)."""
     if s <= 0:
         raise DomainError("s must be > 0")
     if engine not in ENGINES:
         raise DomainError(f"engine must be one of {ENGINES}")
-    spatial, (lo_x, hi_x), t, temporal, norms = read_field(
+    spatial, (lo_x, hi_x), t, temporal, norms = _read_field(
         packet, theory, s, engine, *((grid.x, grid.t) if grid else ()))
     before, after = norms()
     return PropagationResult(
         spatial=spatial, temporal=tuple(temporal),
         grid=grid or Grid2D(lo_x, hi_x, len(spatial), t[0], t[-1], len(t)),
         norm_before=before, norm_after=after)
+
+
+def detector_trace(packet: SpacetimePacket, theory: str, s, engine: str,
+                   x_d: float) -> tuple:
+    """The intensity of packet at the detector x_d under theory's time rule:
+    the times, the trace and its incoherent reference (no cross terms), a
+    function returning the norm^2 before and after, the engine that ran and
+    the flight parameter used: s(), or the control's flight time."""
+    if theory == SCHRODINGER:
+        return _control_trace(packet, engine, x_d)
+    s = s()
+    x_value, _, times, temporal, norms = _read_field(packet, theory, s,
+                                                     engine, x_d)
+    intensity = np.abs(x_value * sum(temporal)) ** 2
+    incoherent = sum(np.abs(x_value * tk) ** 2 for tk in temporal)
+    return times, intensity, incoherent, norms, engine, s
 
 
 def propagate_floquet(packet: SpacetimePacket, delta_s: float,

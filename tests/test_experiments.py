@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from timefringe.errors import DomainError, NoFringes, OverlapWarning
@@ -17,7 +17,7 @@ from timefringe.experiments import (DESK_SCALE, MIN_INTERFERENCE_VISIBILITY,
                                     two_gate_run, visibility_scan)
 from timefringe import packets, propagation
 from timefringe.numerics import simpson_weights
-from timefringe.packets import Grid2D
+from timefringe.packets import GaussianSpatialPacket, Grid2D
 from timefringe.propagation import (CLOSED_FORM, ENGINES, FLOQUET, QUADRATURE,
                                     SAMPLES_PER_FEATURE, SCHRODINGER,
                                     STUECKELBERG, THEORIES, auto_output_grid,
@@ -523,6 +523,43 @@ def test_auto_output_grid_is_the_runs_grid(eps, flight, width, momentum,
     assert np.array_equal(grid.t.view(np.int64), times.view(np.int64))
     assert grid.n_x == 157
     assert propagate_spacetime(packet, theory, s).grid == grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.floats(0.0, 48.0), flight=st.floats(0.5, 50.0),
+       detector=st.none() | st.floats(0.5, 50.0),
+       center=st.floats(-20.0, 20.0), width=st.floats(0.5, 10.0),
+       momentum=st.floats(0.05, 2.0), engine=st.sampled_from(ENGINES))
+@control_runs_closed_form
+@pytest.mark.filterwarnings("ignore::timefringe.errors.OverlapWarning")
+def test_control_trace_is_the_sum_of_launched_pulses(
+        eps, flight, detector, center, width, momentum, engine):
+    # independent of the rule's code: gate k launches X, centred at 0, at
+    # t_k; the detector, x_d - x_0 away, sees it spread by t - t_k, with
+    # half the photon, and nothing before t_k
+    cfg = replace(DESK_SCALE, gate_spacing=eps, flight_distance=flight,
+                  detector_x=None if detector is None else center + detector,
+                  spatial_center=center, spatial_width=width,
+                  momentum=momentum, engine=engine)
+    distance = cfg.detector - center
+    assume(distance > 0.1)
+    outcome = two_gate_run(SCHRODINGER, cfg)
+    times = outcome.trace.times
+    x0 = spatial_component(GaussianSpatialPacket(0.0, width, momentum))
+    reference = np.zeros(len(times))
+    for t_k in (0.0, eps):
+        later = times > t_k
+        reference[later] += 0.5 * np.abs(propagate_component(
+            x0, 1.0, times[later] - t_k)(distance)) ** 2
+    np.testing.assert_allclose(outcome.trace.intensity, reference, rtol=0,
+                               atol=1e-12 * np.max(reference))
+    np.testing.assert_array_equal(outcome.incoherent_trace.intensity,
+                                  outcome.trace.intensity)
+    assert outcome.s_elapsed == distance / momentum
+    assert outcome.engine == CLOSED_FORM
+    # the window centres on the mean arrival, flight time + eps / 2
+    assert (times[0] + times[-1]) / 2 == pytest.approx(
+        distance / momentum + eps / 2, rel=1e-12, abs=1e-12)
 
 
 def planted_trace(period=0.5, n=4001, center=10.0, envelope_sigma=3.0):

@@ -13,7 +13,8 @@ from timefringe.numerics import simpson_weights
 from timefringe.packets import (GaussianSpatialPacket, Grid1D,
                                 SpacetimePacket, TimeGate)
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
-                                    STUECKELBERG, GaussianComponent1D,
+                                    SCHRODINGER, STUECKELBERG,
+                                    GaussianComponent1D,
                                     _quadrature_axis,
                                     auto_output_grid, axis_prefactor,
                                     component_overlap, gate_component,
@@ -163,6 +164,14 @@ class TestStueckelberg:
     def test_rejects_nonpositive_parameter(self):
         with pytest.raises(DomainError):
             propagate_stueckelberg(two_gate_packet(), -2.0)
+
+
+@pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
+def test_control_has_no_spacetime_field(engine):
+    # the mixed-state control is a sum of pulse intensities, not a field
+    with pytest.raises(DomainError, match="no space-time propagation for "
+                       "theory 'schrodinger_control'"):
+        propagate_spacetime(two_gate_packet(), SCHRODINGER, 10.0, engine)
 
 
 def field_moment_slopes(packet, theory, s_samples):

@@ -430,6 +430,41 @@ class TestCliSimulate:
             "warning: schrodinger_control has no quadrature path: it runs "
             "in closed_form\n")
 
+    @pytest.mark.parametrize("scenario,flight", [
+        ({}, 10.0),
+        # s is not the control's: its trace stays the default one
+        ({"sim": {"s_elapsed": 1000}}, 10.0),
+        ({"sim": {"detector_x": 5}}, 25.0),
+        # s* = M L / p overflows, and only the other theories use it
+        ({"sim": {"flight_distance": 1e300, "detector_x": 2},
+          "packet": {"momentum": 1e-10}}, 2e10)],
+        ids=["default", "s_elapsed", "detector_x", "s_star_overflows"])
+    def test_control_reports_its_flight_time(self, tmp_path, scenario,
+                                             flight):
+        # the control runs for (detector_x - spatial_center) / momentum
+        assert main(["simulate", "--theory", "schrodinger_control",
+                     "--out", str(tmp_path / "default")]) == 0
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        assert main(["simulate", "--theory", "schrodinger_control",
+                     "--scenario", str(sc), "--out", str(out)]) == 0
+        assert strict_report(out)["s_elapsed"] == flight
+        default = (tmp_path / "default" / "trace.csv").read_bytes()
+        same = (out / "trace.csv").read_bytes() == default
+        assert same == (flight == 10.0)
+
+    @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
+    def test_covariant_rectangular_gates_are_domain_error(self, tmp_path,
+                                                          capsys, engine):
+        # the automatic covariant time axis is sized from closed-form spread
+        # gates, under quadrature too (ROADMAP item 2)
+        assert run_one_key(tmp_path, "simulate", "packet", "gate_profile",
+                           "rectangular", "--engine", engine) == 4
+        assert capsys.readouterr().err == (
+            "domain error: the automatic covariant time axis is sized in "
+            "closed form, for Gaussian gates only\n")
+
     def test_missing_fringes_fails_for_covariant(self, tmp_path):
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps({"packet": {"gate_spacing": 0.0}}))
