@@ -187,7 +187,7 @@ def cmd_simulate(args) -> int:
         "scenario_hash": shash,
         "theory": scenario.theory,
         "engine": outcome.engine,
-        "s_elapsed": outcome.s_elapsed,
+        "s_elapsed": cfg.s_star,
         "detector_x": outcome.trace.detector_x,
         "interference_visibility": outcome.interference_visibility,
         "norm_drift": outcome.norm_drift,

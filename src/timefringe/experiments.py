@@ -45,7 +45,8 @@ THRESHOLD_FRACTION = 0.1
 class TwoGateConfig:
     """Desk-scale two-gate scenario in internal units (hbar = M = c = 1).
 
-    Defaults give a mean velocity 0.2 c, a flight parameter s* = M L / p0,
+    The packet starts at x = 0 with the on-shell carrier; the detector at
+    x = L reads it at s* = M L / p0. Defaults give a mean velocity 0.2 c
     and a gate spacing wide enough that eight-odd fringes fit inside the
     +-1.5 sigma central window of the arrival envelope.
     """
@@ -55,11 +56,7 @@ class TwoGateConfig:
     gate_width: float = 0.5
     gate_profile: str = GAUSSIAN
     spatial_width: float = 5.0
-    spatial_center: float = 0.0
     momentum: float = 0.2
-    carrier_energy: float | None = None   # None: M c^2 + p^2 / 2M
-    s_elapsed: float | None = None        # None: s* = M L / p0
-    detector_x: float | None = None       # None: flight_distance
     engine: str = CLOSED_FORM
 
     def __post_init__(self):
@@ -78,25 +75,17 @@ class TwoGateConfig:
 
     @property
     def s_star(self) -> float:
-        if self.s_elapsed is not None:
-            return self.s_elapsed
         s = self.flight_distance / self.momentum
-        if not math.isfinite(s):
+        if not 0.0 < s < math.inf:
             raise DomainError(
-                f"s* = M L / p overflows for flight_distance = "
-                f"{self.flight_distance:g} and momentum = {self.momentum:g}")
+                f"s* = M L / p = {s:g} is not a positive float for "
+                f"flight_distance = {self.flight_distance:g} and momentum = "
+                f"{self.momentum:g}")
         return s
 
     @property
     def carrier(self) -> float:
-        if self.carrier_energy is not None:
-            return self.carrier_energy
-        return 1.0 + self.momentum**2 / 2.0
-
-    @property
-    def detector(self) -> float:
-        return (self.detector_x if self.detector_x is not None
-                else self.flight_distance)
+        return 1.0 + self.momentum**2 / 2.0  # on shell: M c^2 + p^2 / 2M
 
     def predicted_spacing(self) -> float:
         """Fringe period from the covariant diffraction law
@@ -125,15 +114,13 @@ def build_packet(cfg: TwoGateConfig) -> SpacetimePacket:
             raise DomainError(f"{key} = {value:g}: its square leaves the "
                               "float range")
     # the spatial Gaussian's coefficients and normalization must be floats
-    w, x0 = cfg.spatial_width, cfg.spatial_center
+    w = cfg.spatial_width
     w2 = w * w
-    if not (0.0 < w2 and math.pi * w2 < math.inf and 0.5 / w2 < math.inf
-            and x0 * x0 / w2 < math.inf
-            and (x0 / w2) * (x0 / w2) < math.inf):
-        raise DomainError(f"spatial_width = {w:g}, spatial_center = {x0:g}: "
-                          "the Gaussian's coefficients or its normalization "
-                          "leave the float range")
-    spatial = GaussianSpatialPacket(center_x=x0, width_sigma_x=w,
+    if not (0.0 < w2 and math.pi * w2 < math.inf and 0.5 / w2 < math.inf):
+        raise DomainError(f"spatial_width = {w:g}: the Gaussian's "
+                          "coefficients or its normalization leave the float "
+                          "range")
+    spatial = GaussianSpatialPacket(width_sigma_x=w,
                                     mean_momentum_p0=cfg.momentum)
     gates = (TimeGate(center_t=0.0, width_delta_t=cfg.gate_width,
                       profile=cfg.gate_profile),
@@ -175,7 +162,6 @@ class TwoGateOutcome:
     trace: IntensityTrace
     incoherent_trace: IntensityTrace
     interference_visibility: float
-    s_elapsed: float  # the flight parameter used; the control's flight time
     predicted_spacing: float | None
     engine: str  # the engine that ran
     drift: Callable[[], float] = field(repr=False, compare=False)
@@ -195,14 +181,13 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
     if 0 < cfg.gate_spacing < cfg.gate_width:
         warnings.warn("gates are wider than their spacing: overlapping-gate "
                       "regime", OverlapWarning, stacklevel=2)
-    times, intensity, inc_intensity, norms, engine, s = detector_trace(
-        build_packet(cfg), theory, lambda: cfg.s_star, cfg.engine,
-        cfg.detector)
+    times, intensity, inc_intensity, norms, engine = detector_trace(
+        build_packet(cfg), theory, cfg.s_star, cfg.engine, cfg.flight_distance)
 
     trace = IntensityTrace(times=times, intensity=intensity,
-                           detector_x=cfg.detector, theory=theory)
+                           detector_x=cfg.flight_distance, theory=theory)
     inc_trace = IntensityTrace(times=times, intensity=inc_intensity,
-                               detector_x=cfg.detector, theory=theory)
+                               detector_x=cfg.flight_distance, theory=theory)
     peak_inc = float(inc_intensity.max())
     cross = float(np.abs(intensity - inc_intensity).max())
     visibility = cross / peak_inc if peak_inc > 0 else 0.0
@@ -212,7 +197,7 @@ def two_gate_run(theory: str, cfg: TwoGateConfig = DESK_SCALE) -> TwoGateOutcome
         return abs(after - before) / before
     return TwoGateOutcome(
         trace=trace, incoherent_trace=inc_trace,
-        interference_visibility=visibility, s_elapsed=s,
+        interference_visibility=visibility,
         predicted_spacing=(cfg.predicted_spacing() if theory == STUECKELBERG
                            and cfg.gate_spacing > 0 else None),
         engine=engine, drift=drift)

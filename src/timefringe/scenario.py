@@ -24,10 +24,9 @@ from .units import MOMENTUM_MODELS, SETUP_FIELDS, PhysicalSetup
 _SETUP_DEFAULTS = {key: getattr(PhysicalSetup, name)
                    for key, name in SETUP_FIELDS.items()}
 _PACKET_DEFAULTS = {key: getattr(DESK_SCALE, key) for key in (
-    "spatial_width", "spatial_center", "momentum", "carrier_energy",
-    "gate_width", "gate_spacing", "gate_profile")}
-_SIM_DEFAULTS = {key: getattr(DESK_SCALE, key)
-                 for key in ("flight_distance", "s_elapsed", "detector_x")}
+    "spatial_width", "momentum", "gate_width", "gate_spacing",
+    "gate_profile")}
+_SIM_DEFAULTS = {"flight_distance": DESK_SCALE.flight_distance}
 _ANALYSIS_DEFAULTS = {"threshold_fraction": THRESHOLD_FRACTION}
 
 
@@ -42,7 +41,7 @@ class Scenario:
 
     def to_dict(self) -> dict:
         """The scenario echo; each section is a shallow copy, because its
-        values are numbers, strings or None."""
+        values are numbers or strings."""
         return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self) -> str:
@@ -66,7 +65,9 @@ def _reject_unknown(section: str, data: dict, known) -> None:
     for key in data:
         if key not in known:
             import difflib  # only for the hint; a cold start skips it
-            hint = difflib.get_close_matches(key, list(known), n=1)
+            # below 0.7 the hint is another key: spatial_center, spatial_width
+            hint = difflib.get_close_matches(key, list(known), n=1,
+                                             cutoff=0.7)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             where = f"{section}.{key}" if section else key
             raise ConfigError(f"unknown key {where!r}{suggestion}")
@@ -84,11 +85,7 @@ def _merge_section(section: str, data, defaults: dict) -> dict:
 
 
 def _require_number(section: str, key: str, value, positive=False,
-                    nonnegative=False, allow_none=False) -> None:
-    if value is None:
-        if allow_none:
-            return
-        raise ConfigError(f"{section}.{key} must be a number")
+                    nonnegative=False) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number")
     try:
@@ -135,10 +132,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             f"setup.momentum_model must be one of {MOMENTUM_MODELS}")
     _require_number("packet", "spatial_width", packet["spatial_width"],
                     positive=True)
-    _require_number("packet", "spatial_center", packet["spatial_center"])
     _require_number("packet", "momentum", packet["momentum"], positive=True)
-    _require_number("packet", "carrier_energy", packet["carrier_energy"],
-                    allow_none=True)
     _require_number("packet", "gate_width", packet["gate_width"],
                     positive=True)
     _require_number("packet", "gate_spacing", packet["gate_spacing"],
@@ -148,9 +142,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
             f"packet.gate_profile must be one of {GATE_PROFILES}")
     _require_number("sim", "flight_distance", sim["flight_distance"],
                     positive=True)
-    _require_number("sim", "s_elapsed", sim["s_elapsed"], positive=True,
-                    allow_none=True)
-    _require_number("sim", "detector_x", sim["detector_x"], allow_none=True)
     tf = analysis["threshold_fraction"]
     _require_number("analysis", "threshold_fraction", tf)
     if not 0.0 < tf < 1.0:

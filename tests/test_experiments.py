@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timefringe.errors import DomainError, NoFringes, OverlapWarning
@@ -21,7 +22,8 @@ from timefringe.packets import GaussianSpatialPacket, Grid2D
 from timefringe.propagation import (CLOSED_FORM, ENGINES, FLOQUET, QUADRATURE,
                                     SAMPLES_PER_FEATURE, SCHRODINGER,
                                     STUECKELBERG, THEORIES, auto_output_grid,
-                                    gate_component, propagate_component,
+                                    detector_trace, gate_component,
+                                    propagate_component,
                                     propagate_floquet, propagate_schrodinger,
                                     propagate_spacetime,
                                     propagate_stueckelberg, spatial_component)
@@ -37,23 +39,15 @@ class TestTwoGateConfig:
         cfg = DESK_SCALE
         assert cfg.s_star == pytest.approx(10.0, rel=1e-12)   # M L / p0
         assert cfg.carrier == pytest.approx(1.02, rel=1e-12)  # Mc^2 + p^2/2M
-        assert cfg.detector == cfg.flight_distance
 
     def test_predicted_spacing_formula(self):
         cfg = DESK_SCALE
         expected = 2 * math.pi * 2.0 / (0.2 * 12.0)
         assert cfg.predicted_spacing() == pytest.approx(expected, rel=1e-12)
-        # T = 2 pi s / eps follows an overridden s, not M L / p
-        cfg = replace(DESK_SCALE, s_elapsed=1000.0)
+        # T = 2 pi s* / eps follows s* = M L / p
+        cfg = replace(DESK_SCALE, flight_distance=200.0)
         assert cfg.predicted_spacing() == pytest.approx(
             2 * math.pi * 1000.0 / 12.0, rel=1e-12)
-
-    def test_overrides_take_precedence(self):
-        cfg = replace(DESK_SCALE, s_elapsed=7.0, detector_x=1.3,
-                      carrier_energy=2.0)
-        assert cfg.s_star == 7.0
-        assert cfg.detector == 1.3
-        assert cfg.carrier == 2.0
 
     def test_rejects_invalid(self):
         with pytest.raises(DomainError):
@@ -126,15 +120,18 @@ class TestTwoGateRun:
         assert np.count_nonzero(interior & significant) <= 2
 
     def test_control_window_follows_source_and_detector(self):
-        # the window centres on the arrival time (x_d - x0) / p, so moving
-        # the source by -998 gives the trace of moving the detector by +998
-        far = two_gate_run(SCHRODINGER, replace(DESK_SCALE, detector_x=1000.0))
-        back = two_gate_run(SCHRODINGER,
-                            replace(DESK_SCALE, spatial_center=-998.0))
-        np.testing.assert_array_equal(far.trace.times, back.trace.times)
-        np.testing.assert_array_equal(far.trace.intensity,
-                                      back.trace.intensity)
-        y = far.trace.intensity
+        # the pulses reach x_d from x0 in the flight time (x_d - x0) / p, so
+        # moving the source by -998 gives the trace of moving the detector
+        # by +998
+        packet = build_packet(DESK_SCALE)
+        back = replace(packet,
+                       spatial=replace(packet.spatial, center_x=-998.0))
+        far, near = (detector_trace(pk, SCHRODINGER, 1000.0 / 0.2,
+                                    CLOSED_FORM, x_d)
+                     for pk, x_d in ((packet, 1000.0), (back, 2.0)))
+        np.testing.assert_array_equal(far[0], near[0])
+        np.testing.assert_array_equal(far[1], near[1])
+        y = far[1]
         assert 0 < int(np.argmax(y)) < len(y) - 1  # the peak is inside
 
     @pytest.mark.parametrize("change", [{"momentum": 1e3},
@@ -165,7 +162,7 @@ class TestTwoGateRun:
         packet = build_packet(cfg)
         s = cfg.s_star
         grid = auto_output_grid(packet, theory, s)
-        ix = int(np.argmin(np.abs(grid.x - cfg.detector)))
+        ix = int(np.argmin(np.abs(grid.x - cfg.flight_distance)))
         run = propagate_floquet if theory == FLOQUET else propagate_stueckelberg
 
         def column(pk):
@@ -250,8 +247,8 @@ class TestTwoGateRun:
         times = auto.trace.times
         packet = build_packet(cfg)
         if theory == SCHRODINGER:
-            comp0 = spatial_component(replace(packet.spatial, center_x=0.0))
-            distance = cfg.detector - cfg.spatial_center
+            comp0 = spatial_component(packet.spatial)
+            distance = cfg.flight_distance
             pulses = []
             for g in packet.gates:
                 elapsed = times - g.center_t
@@ -272,12 +269,12 @@ class TestTwoGateRun:
                       len(times))
         result = propagate_spacetime(packet, theory, cfg.s_star, engine,
                                      grid=grid)
-        ix = int(np.argmin(np.abs(grid.x - cfg.detector)))
+        ix = int(np.argmin(np.abs(grid.x - cfg.flight_distance)))
         x_d = result.spatial[ix]
         coherent = np.abs(x_d * sum(result.temporal)) ** 2
         incoherent = sum(np.abs(x_d * tk) ** 2 for tk in result.temporal)
         np.testing.assert_array_equal(grid.t, times)
-        assert grid.x[ix] == cfg.detector
+        assert grid.x[ix] == cfg.flight_distance
         rtol = 0 if engine == CLOSED_FORM else 1e-12
         np.testing.assert_allclose(auto.trace.intensity, coherent, rtol=rtol,
                                    atol=0)
@@ -295,17 +292,14 @@ class TestReadDetector:
     @pytest.mark.parametrize("theory", [FLOQUET, STUECKELBERG])
     @pytest.mark.parametrize("where", ["x=5", "x=L+0.37dx"])
     def test_trace_is_read_at_the_detector(self, theory, where):
-        # off every node of the automatic x grid, whose nearest column the
-        # run used to read and report as detector_x
-        grid = auto_output_grid(build_packet(DESK_SCALE), theory,
-                                DESK_SCALE.s_star)
+        # off every node of the automatic x grid, whose nearest column a
+        # run used to read
+        packet, s = build_packet(DESK_SCALE), DESK_SCALE.s_star
+        grid = auto_output_grid(packet, theory, s)
         x_d = (5.0 if where == "x=5"
                else DESK_SCALE.flight_distance + 0.37 * grid.dx)
         assert np.min(np.abs(grid.x - x_d)) >= 0.3 * grid.dx
-        cfg = replace(DESK_SCALE, detector_x=x_d)
-        packet, s = build_packet(cfg), cfg.s_star
-        exact = two_gate_run(theory, cfg)
-        times = exact.trace.times
+        times, exact = detector_trace(packet, theory, s, CLOSED_FORM, x_d)[:2]
         # the oracle |X(x_d)|^2 |sum_k T_k(t)|^2 of the rank-1 field
         x_value = propagate_component(spatial_component(packet.spatial), 1.0,
                                       s)(x_d)
@@ -316,15 +310,23 @@ class TestReadDetector:
                 gate_component(g, packet.mean_energy_E0), -1.0, s)(times)
                 for g in packet.gates)
         oracle = np.abs(x_value) ** 2 * np.abs(gates) ** 2
-        np.testing.assert_allclose(exact.trace.intensity, oracle, rtol=1e-12,
-                                   atol=0)
-        quad = two_gate_run(theory, replace(cfg, engine=QUADRATURE))
-        np.testing.assert_array_equal(quad.trace.times, times)
-        np.testing.assert_allclose(quad.trace.intensity, oracle, rtol=0,
+        np.testing.assert_allclose(exact, oracle, rtol=1e-12, atol=0)
+        quad_times, quad = detector_trace(packet, theory, s, QUADRATURE,
+                                          x_d)[:2]
+        np.testing.assert_array_equal(quad_times, times)
+        np.testing.assert_allclose(quad, oracle, rtol=0,
                                    atol=1e-6 * np.max(oracle))
-        for outcome in (exact, quad):
-            assert outcome.trace.detector_x == x_d
-            assert outcome.incoherent_trace.detector_x == x_d
+
+    @pytest.mark.parametrize("theory", [FLOQUET, STUECKELBERG])
+    @pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
+    def test_detector_outside_x_range_is_domain_error(self, theory, engine):
+        # at L = 2 the spread packet spans [-22.75, 26.75]; a run's detector
+        # sits at x = L, inside it
+        with pytest.raises(DomainError, match=re.escape(
+                "detector_x = 60 lies outside the x range [-22.7513, "
+                "26.7513]")):
+            detector_trace(build_packet(DESK_SCALE), theory, DESK_SCALE.s_star,
+                           engine, 60.0)
 
     @pytest.mark.parametrize("theory", [FLOQUET, STUECKELBERG])
     @pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
@@ -337,16 +339,15 @@ class TestReadDetector:
 
     @pytest.mark.parametrize("change", [{}, {"flight_distance": 3.3,
                                              "momentum": 0.3},
-                                        {"detector_x": 5.0,
-                                         "spatial_center": -1.0}])
+                                        {"flight_distance": 7.0,
+                                         "spatial_width": 2.0}])
     def test_control_norm_drift_is_its_packets_over_the_flight(self, change):
         # the mixed state's norm is the spatial packet's, spread over the
-        # flight time (detector_x - spatial_center) / momentum
+        # flight time s* = L / p
         cfg = replace(DESK_SCALE, **change)
         outcome = two_gate_run(SCHRODINGER, cfg)
-        field = propagate_schrodinger(
-            replace(build_packet(cfg).spatial, center_x=0.0),
-            (cfg.detector - cfg.spatial_center) / cfg.momentum)
+        field = propagate_schrodinger(build_packet(cfg).spatial,
+                                      cfg.flight_distance / cfg.momentum)
         assert outcome.norm_drift == field.norm_drift
 
 
@@ -526,23 +527,18 @@ def test_auto_output_grid_is_the_runs_grid(eps, flight, width, momentum,
 
 
 @settings(max_examples=60, deadline=None)
-@given(eps=st.floats(0.0, 48.0), flight=st.floats(0.5, 50.0),
-       detector=st.none() | st.floats(0.5, 50.0),
-       center=st.floats(-20.0, 20.0), width=st.floats(0.5, 10.0),
-       momentum=st.floats(0.05, 2.0), engine=st.sampled_from(ENGINES))
+@given(eps=st.floats(0.0, 48.0), distance=st.floats(0.1, 50.0),
+       width=st.floats(0.5, 10.0), momentum=st.floats(0.05, 2.0),
+       engine=st.sampled_from(ENGINES))
 @control_runs_closed_form
 @pytest.mark.filterwarnings("ignore::timefringe.errors.OverlapWarning")
 def test_control_trace_is_the_sum_of_launched_pulses(
-        eps, flight, detector, center, width, momentum, engine):
+        eps, distance, width, momentum, engine):
     # independent of the rule's code: gate k launches X, centred at 0, at
-    # t_k; the detector, x_d - x_0 away, sees it spread by t - t_k, with
-    # half the photon, and nothing before t_k
-    cfg = replace(DESK_SCALE, gate_spacing=eps, flight_distance=flight,
-                  detector_x=None if detector is None else center + detector,
-                  spatial_center=center, spatial_width=width,
-                  momentum=momentum, engine=engine)
-    distance = cfg.detector - center
-    assume(distance > 0.1)
+    # t_k; the detector, L away, sees it spread by t - t_k, with half the
+    # photon, and nothing before t_k
+    cfg = replace(DESK_SCALE, gate_spacing=eps, flight_distance=distance,
+                  spatial_width=width, momentum=momentum, engine=engine)
     outcome = two_gate_run(SCHRODINGER, cfg)
     times = outcome.trace.times
     x0 = spatial_component(GaussianSpatialPacket(0.0, width, momentum))
@@ -555,7 +551,6 @@ def test_control_trace_is_the_sum_of_launched_pulses(
                                atol=1e-12 * np.max(reference))
     np.testing.assert_array_equal(outcome.incoherent_trace.intensity,
                                   outcome.trace.intensity)
-    assert outcome.s_elapsed == distance / momentum
     assert outcome.engine == CLOSED_FORM
     # the window centres on the mean arrival, flight time + eps / 2
     assert (times[0] + times[-1]) / 2 == pytest.approx(

@@ -11,7 +11,7 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timefringe import cli, experiments
@@ -25,7 +25,7 @@ from timefringe.units import PhysicalSetup
 
 _NUMBER_FIELDS = [
     ("simulate", "packet", "momentum"),
-    ("simulate", "sim", "detector_x"),
+    ("simulate", "packet", "gate_spacing"),
     ("simulate", "sim", "flight_distance"),
     ("estimate", "setup", "wavelength_nm"),
     ("estimate", "setup", "photon_count"),
@@ -69,14 +69,12 @@ class TestScenarioSchema:
         # every report carries the scenario echo and its hash, which the
         # trace figure carries too
         echo = ('{"analysis": {"threshold_fraction": 0.1}, "engine": '
-                '"closed_form", "packet": {"carrier_energy": null, '
-                '"gate_profile": "gaussian", "gate_spacing": 12.0, '
-                '"gate_width": 0.5, "momentum": 0.2, "spatial_center": 0.0, '
+                '"closed_form", "packet": {"gate_profile": "gaussian", '
+                '"gate_spacing": 12.0, "gate_width": 0.5, "momentum": 0.2, '
                 '"spatial_width": 5.0}, "setup": {"flight_distance_m": 0.01, '
                 '"momentum_model": "nonrelativistic", "photon_count": 300, '
-                '"wavelength_nm": 850.0}, "sim": {"detector_x": null, '
-                '"flight_distance": 2.0, "s_elapsed": null}, "theory": '
-                '"stueckelberg"}')
+                '"wavelength_nm": 850.0}, "sim": {"flight_distance": 2.0}, '
+                '"theory": "stueckelberg"}')
         assert json.dumps(Scenario().to_dict(), sort_keys=True) == echo
         for argv in (["simulate"], ["estimate"],
                      ["scan", "--param", "gate_spacing", "--values", "12,18"]):
@@ -84,18 +82,18 @@ class TestScenarioSchema:
             assert main([*argv, "--out", str(out)]) == 0
             text = (out / "report.json").read_text()
             report = json.loads(text)
-            assert report["scenario_hash"] == "5ecc5ebb19ba440b"
+            assert report["scenario_hash"] == "11c8650213a2ceec"
             assert json.dumps(report["scenario"], sort_keys=True) == echo
             # the echo is written as to_json() writes it, one level deeper
             assert ('"scenario": ' + Scenario().to_json().replace("\n", "\n  ")
                     in text)
-        assert ("scenario-sha256:5ecc5ebb19ba440b"
+        assert ("scenario-sha256:11c8650213a2ceec"
                 in (tmp_path / "simulate" / "trace.svg").read_text())
 
     @pytest.mark.parametrize("raw", [
         {}, {"theory": "floquet", "engine": "quadrature"},
         {"packet": {"gate_spacing": 24.0, "gate_profile": "rectangular"}},
-        {"sim": {"flight_distance": 3.5, "detector_x": -1e-300},
+        {"sim": {"flight_distance": 3.5}, "packet": {"momentum": 1e-300},
          "setup": {"wavelength_nm": 632.8}}])
     def test_scenario_hash_is_hashlibs_sha256(self, raw):
         echo = scenario_from_dict(raw).to_dict()
@@ -177,7 +175,12 @@ class TestScenarioSchema:
                 ({"grid": {"n_t": 2048}}, "grid"),
                 ({"setup": {"gate_spacing_s": 2.8e-15}},
                  "setup.gate_spacing_s"),
-                ({"setup": {"gate_width_s": 2.5e-16}}, "setup.gate_width_s")]:
+                ({"setup": {"gate_width_s": 2.5e-16}}, "setup.gate_width_s"),
+                ({"sim": {"s_elapsed": 1000.0}}, "sim.s_elapsed"),
+                ({"sim": {"detector_x": 5.0}}, "sim.detector_x"),
+                ({"packet": {"spatial_center": 1.0}}, "packet.spatial_center"),
+                ({"packet": {"carrier_energy": 2.0}},
+                 "packet.carrier_energy")]:
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 scenario_from_dict(raw)
             sc = tmp_path / "sc.json"
@@ -209,10 +212,9 @@ class TestScenarioSchema:
 _WIRING = {
     "setup": {"wavelength_nm": 900.0, "photon_count": 301,
               "flight_distance_m": 0.02, "momentum_model": "relativistic"},
-    "packet": {"spatial_width": 6.0, "spatial_center": 1.0, "momentum": 0.3,
-               "carrier_energy": 1.5, "gate_width": 0.6, "gate_spacing": 24.0,
-               "gate_profile": "rectangular"},
-    "sim": {"flight_distance": 3.0, "s_elapsed": 20.0, "detector_x": 2.5},
+    "packet": {"spatial_width": 6.0, "momentum": 0.3, "gate_width": 0.6,
+               "gate_spacing": 24.0, "gate_profile": "rectangular"},
+    "sim": {"flight_distance": 3.0},
 }
 
 
@@ -282,9 +284,8 @@ class TestScenarioProperties:
 
 
 _SWEEP_KEYS = ([("packet", key) for key in (
-    "spatial_width", "spatial_center", "momentum", "carrier_energy",
-    "gate_width", "gate_spacing")]
-    + [("sim", key) for key in ("flight_distance", "s_elapsed", "detector_x")])
+    "spatial_width", "momentum", "gate_width", "gate_spacing")]
+    + [("sim", "flight_distance")])
 _SWEEP_VALUES = [0.0] + [sign * size for size in (
     1e-300, 1e-100, 1e-10, 1e-3, 1.0, 1e3, 1e10, 1e100, 1e154, 1e300)
     for sign in (1.0, -1.0)]
@@ -321,6 +322,49 @@ class TestScenarioSweep:
                 elif code == 0 and not trace_has_intensity(tmp_path / "out"):
                     bad.append(f"{where}: exit 0 with an all-zero trace")
         assert not bad
+
+
+_EXTREMES = [5e-324, 1e-300, 1e-154, 1e154, 1e300, 1e-8, 1e8]
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(st.sampled_from(_SWEEP_KEYS), min_size=2, max_size=2,
+                     unique=True),
+       values=st.tuples(st.sampled_from(_EXTREMES),
+                        st.sampled_from(_EXTREMES)),
+       theory=st.sampled_from(["schrodinger_control", "floquet",
+                               "stueckelberg"]),
+       engine=st.sampled_from(["closed_form", "quadrature"]))
+# s* = L / p underflowed to 0: a ZeroDivisionError traceback
+@example(keys=[("packet", "momentum"), ("sim", "flight_distance")],
+         values=(1e8, 5e-324), theory="floquet", engine="closed_form")
+@example(keys=[("packet", "momentum"), ("sim", "flight_distance")],
+         values=(1e154, 1e-300), theory="stueckelberg", engine="quadrature")
+# numpy overflow warnings: 4 a in the norm overlap of a narrow packet, and
+# the spread of the control's pulses just after a gate opens
+@example(keys=[("packet", "spatial_width"), ("packet", "momentum")],
+         values=(1e-154, 1e8), theory="floquet", engine="closed_form")
+@example(keys=[("packet", "momentum"), ("packet", "gate_spacing")],
+         values=(1e154, 1e-300), theory="schrodinger_control",
+         engine="closed_form")
+def test_any_two_extreme_numbers_end_in_a_documented_exit(
+        tmp_path_factory, keys, values, theory, engine):
+    # two packet/sim numbers at once, each at an extreme of the float
+    # range: exit 0 with a trace that carries intensity and a strict-JSON
+    # report, or exit 2, 3, 4 or 5; never an exception
+    tmp = tmp_path_factory.getbasetemp()
+    raw = {}
+    for (section, key), value in zip(keys, values):
+        raw.setdefault(section, {})[key] = value
+    sc = tmp / "pair.json"
+    sc.write_text(json.dumps(raw))
+    out = tmp / "pair"
+    code = main(["simulate", "--scenario", str(sc), "--theory", theory,
+                 "--engine", engine, "--out", str(out)])
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0:
+        strict_report(out)
+        assert trace_has_intensity(out)
 
 
 class TestCliEstimate:
@@ -379,22 +423,23 @@ class TestCliSimulate:
     @pytest.mark.parametrize("theory", ["schrodinger_control", "floquet",
                                         "stueckelberg"])
     @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
-    @pytest.mark.parametrize("detector,read", [(None, 2.0), (5.0, 5.0)])
+    @pytest.mark.parametrize("flight", [2.0, 3.0])
     def test_report_names_the_point_read(self, tmp_path, theory, engine,
-                                         detector, read):
-        # None reads at the flight distance; 5.0 lies between x grid nodes
-        assert run_one_key(tmp_path, "simulate", "sim", "detector_x",
-                           detector, "--theory", theory,
+                                         flight):
+        # the detector sits at x = L and reads at s* = L / p
+        assert run_one_key(tmp_path, "simulate", "sim", "flight_distance",
+                           flight, "--theory", theory,
                            "--engine", engine) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["detector_x"] == read
+        assert report["detector_x"] == flight
+        assert report["s_elapsed"] == flight / 0.2
 
-    def test_overridden_s_sets_the_law(self, tmp_path):
-        # s = 1000 moves the fringe period to 2 pi s / eps = 523.6, far from
-        # the 5.24 that L = 2 and p = 0.2 would give
+    def test_flight_distance_sets_the_law(self, tmp_path):
+        # L = 200 gives s* = 1000 and moves the fringe period to
+        # 2 pi s* / eps = 523.6, far from the 5.24 of L = 2
         out = tmp_path / "out"
-        assert run_one_key(tmp_path, "simulate", "sim", "s_elapsed",
-                           1000) == 0
+        assert run_one_key(tmp_path, "simulate", "sim", "flight_distance",
+                           200) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["predicted_spacing_T"] == pytest.approx(
             2 * math.pi * 1000 / 12.0, rel=1e-12)
@@ -431,17 +476,11 @@ class TestCliSimulate:
             "in closed_form\n")
 
     @pytest.mark.parametrize("scenario,flight", [
-        ({}, 10.0),
-        # s is not the control's: its trace stays the default one
-        ({"sim": {"s_elapsed": 1000}}, 10.0),
-        ({"sim": {"detector_x": 5}}, 25.0),
-        # s* = M L / p overflows, and only the other theories use it
-        ({"sim": {"flight_distance": 1e300, "detector_x": 2},
-          "packet": {"momentum": 1e-10}}, 2e10)],
-        ids=["default", "s_elapsed", "detector_x", "s_star_overflows"])
+        ({}, 10.0), ({"sim": {"flight_distance": 5}}, 25.0)],
+        ids=["default", "flight_distance"])
     def test_control_reports_its_flight_time(self, tmp_path, scenario,
                                              flight):
-        # the control runs for (detector_x - spatial_center) / momentum
+        # the control runs for the flight time s* = L / p
         assert main(["simulate", "--theory", "schrodinger_control",
                      "--out", str(tmp_path / "default")]) == 0
         sc = tmp_path / "sc.json"
@@ -522,20 +561,25 @@ class TestCliSimulate:
         assert report["interference_visibility"] >= MIN_INTERFERENCE_VISIBILITY
         assert report["fringes"]["relative_error"] < 0.10
 
-    @pytest.mark.parametrize("theory", ["stueckelberg", "floquet"])
-    def test_detector_outside_x_grid_is_domain_error(self, tmp_path, capsys,
-                                                     theory):
-        # at L = 2 the x grid spans [-22.75, 26.75]; the default detector
-        # sits at x = L, inside it
-        assert main(["simulate", "--theory", theory,
-                     "--out", str(tmp_path / "default")]) == 0
+    @pytest.mark.parametrize("engine", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize("theory", ["schrodinger_control", "floquet",
+                                        "stueckelberg"])
+    @pytest.mark.parametrize("flight,momentum,s", [
+        (5e-324, 1e8, "0"), (5e-324, 1e154, "0"), (1e300, 1e-10, "inf")])
+    def test_s_star_out_of_float_range_is_domain_error(
+            self, tmp_path, capsys, theory, engine, flight, momentum, s):
+        # L / p underflows to 0, which used to end in a ZeroDivisionError
+        # traceback, or overflows; every theory runs for s*
         sc = tmp_path / "sc.json"
-        sc.write_text(json.dumps({"sim": {"detector_x": 60.0}}))
-        assert main(["simulate", "--theory", theory, "--scenario", str(sc),
-                     "--out", str(tmp_path / "out")]) == 4
-        err = capsys.readouterr().err
-        assert "detector_x = 60" in err
-        assert "[-22.7513, 26.7513]" in err
+        sc.write_text(json.dumps({"packet": {"momentum": momentum},
+                                  "sim": {"flight_distance": flight}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--theory", theory, "--engine", engine,
+                     "--scenario", str(sc), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.endswith(
+            f"domain error: s* = M L / p = {s} is not a positive float for "
+            f"flight_distance = {flight:g} and momentum = {momentum:g}\n")
+        assert not out.exists()
 
     # s* = M L / p overflows; the gate variance overflows; at s = 5e200
     # the spread width leaves the float range; p^2 in the carrier energy,
@@ -558,8 +602,6 @@ class TestCliSimulate:
         ("packet", "spatial_width", 1e-300, "spatial_width = 1e-300",
          "floquet"),
         ("packet", "spatial_width", 1e-300, "spatial_width = 1e-300",
-         "schrodinger_control"),
-        ("packet", "spatial_center", -1e300, "spatial_center = -1e+300",
          "schrodinger_control"),
         ("packet", "momentum", 1e154, "carrier phase E0 t", "floquet"),
     ])
@@ -618,25 +660,12 @@ class TestCliSimulate:
                        "packet.gate_spacing = 12 spans more than the float "
                        "range")
 
-    @pytest.mark.parametrize("theory", ["stueckelberg",
-                                        "schrodinger_control"])
-    def test_spatial_coefficient_overflow_is_domain_error(self, tmp_path,
-                                                          capsys, theory):
-        # x0^2 / w^2 is finite, but (x0 / w^2)^2 overflows
-        sc = tmp_path / "sc.json"
-        sc.write_text(json.dumps({"packet": {"spatial_center": 1e150,
-                                             "spatial_width": 1e-3}}))
-        assert main(["simulate", "--theory", theory, "--scenario", str(sc),
-                     "--out", str(tmp_path / "out")]) == 4
-        assert "spatial_center = 1e+150" in capsys.readouterr().err
-
     @pytest.mark.parametrize("section,key,value", [
-        ("packet", "carrier_energy", 1e8), ("sim", "s_elapsed", 1e20),
-        ("packet", "momentum", 1e10)])
+        ("sim", "flight_distance", 1e19), ("packet", "momentum", 1e10)])
     def test_closed_form_rounding_is_domain_error(self, tmp_path, capsys,
                                                   section, key, value):
         # the gates' exponent terms reach 1e17 and more, so their relative
-        # phase is lost to rounding: at carrier_energy = 1e8 the trace's
+        # phase is lost to rounding: at a carrier energy of 1e8 the trace's
         # peaks were 0.34 apart against a law of 5.24
         assert run_one_key(tmp_path, "simulate", section, key, value,
                            "--theory", "stueckelberg") == 4
@@ -658,11 +687,10 @@ class TestCliSimulate:
 
     @pytest.mark.parametrize("theory,section,key,value,named", [
         ("floquet", "packet", "momentum", 1000, "n_x = 18472439"),
-        ("floquet", "sim", "s_elapsed", 1e-3, "n_x = 34653275"),
+        ("floquet", "sim", "flight_distance", 1e-4, "n_x = 69306319"),
         ("floquet", "packet", "spatial_width", 1e10,
          "n_x = 1.38612e+22"),
-        ("stueckelberg", "packet", "carrier_energy", 1e10,
-         "n_t = 2979380536287"),
+        ("stueckelberg", "sim", "flight_distance", 1e-4, "n_t = 5377523"),
     ])
     def test_quadrature_input_past_ceiling_is_resolution_error(
             self, tmp_path, capsys, theory, section, key, value, named):
@@ -679,8 +707,8 @@ class TestCliSimulate:
         # the Gaussian's normalization pi w^2 overflows a float
         ("packet", "spatial_width", 1e154, 4, "leave the float range"),
         # the kernel phase 1 / 2s, or its square, overflows a float
-        ("sim", "s_elapsed", 5e-324, 4, "s = 4.94066e-324"),
-        ("sim", "s_elapsed", 1e-300, 4, "s = 1e-300"),
+        ("sim", "flight_distance", 5e-324, 4, "s = 2.47033e-323"),
+        ("sim", "flight_distance", 1e-301, 4, "s = 5e-301"),
     ])
     def test_float_range_spread_ends_in_documented_exit(
             self, tmp_path, capsys, engine, section, key, value, code, named):
@@ -705,17 +733,15 @@ class TestCliSimulate:
             assert math.isfinite(drift)
 
     @pytest.mark.parametrize("section,key,value,code", [
-        ("sim", "detector_x", 1e3, 0), ("sim", "detector_x", -1e3, 4),
-        ("sim", "detector_x", 0.0, 4), ("packet", "spatial_center", 1e3, 4),
-        ("packet", "spatial_center", -1e3, 0),
+        ("sim", "flight_distance", 1e3, 0),
         # at p = 1e300 the flight time 2e-300 squares past the float range
         ("packet", "momentum", 1e100, 3), ("packet", "momentum", 1e300, 4),
         ("packet", "momentum", 1e3, 0), ("packet", "gate_spacing", 1e4, 0),
     ])
     def test_control_trace_covers_the_arrival(self, tmp_path, section, key,
                                               value, code):
-        # the window centres on (detector_x - spatial_center) / momentum
-        # and resolves the arrival pulse, or the run says why not
+        # the window centres on the flight time L / p and resolves the
+        # arrival pulse, or the run says why not
         assert run_one_key(tmp_path, "simulate", section, key, value,
                            "--theory", "schrodinger_control") == code
         if code == 0:
