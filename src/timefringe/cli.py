@@ -27,9 +27,8 @@ from . import __version__
 from .errors import (ConfigError, DomainError, IoError, NoFringes,
                      ResolutionError)
 from .estimates import compare_estimates
-from .experiments import (SCAN_PARAMS, THRESHOLD_FRACTION, IntensityTrace,
-                          extract_fringes, outcome_fringes, two_gate_run,
-                          visibility_scan)
+from .experiments import (SCAN_PARAMS, IntensityTrace, extract_fringes,
+                          outcome_fringes, two_gate_run, visibility_scan)
 from .propagation import ENGINES, SCHRODINGER, STUECKELBERG, THEORIES
 from .scenario import Scenario, parse_scenario
 from .svgplot import line_chart
@@ -159,8 +158,7 @@ def cmd_simulate(args) -> int:
     fringes = None
     fringe_error = None
     try:
-        fringes = outcome_fringes(outcome,
-                                  scenario.analysis["threshold_fraction"])
+        fringes = outcome_fringes(outcome)
     except NoFringes as exc:
         fringe_error = str(exc)
         if scenario.theory == STUECKELBERG:
@@ -230,9 +228,7 @@ def cmd_scan(args) -> int:
     if not all(math.isfinite(v) for v in values):
         raise ConfigError("--values must be finite numbers")
     t0 = time.perf_counter()
-    rows = visibility_scan(scenario.theory, cfg, values,
-                           scenario.analysis["threshold_fraction"],
-                           param=args.param)
+    rows = visibility_scan(scenario.theory, cfg, values, param=args.param)
 
     out = _out_dir(args)
     with _rewrite(out / "scan.csv", newline="") as fh:
@@ -315,9 +311,6 @@ def _read_trace_csv(path: Path) -> tuple:
 
 
 def cmd_fringes(args) -> int:
-    if not 0.0 < args.threshold < 1.0:
-        raise ConfigError(
-            f"--threshold must be in (0, 1), got {args.threshold}")
     path = Path(args.trace)
     if not path.exists():
         raise IoError(f"trace file not found: {path}")
@@ -328,7 +321,7 @@ def cmd_fringes(args) -> int:
                            detector_x=float("nan"), theory="reanalysis")
     out = _out_dir(args)
     try:
-        fr = extract_fringes(trace, args.threshold)
+        fr = extract_fringes(trace)
     except NoFringes as exc:
         fr, found = None, {"no_fringes": str(exc)}
         line = f"no fringes: {exc}"
@@ -385,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fr = sub.add_parser("fringes", help="re-analyze an existing CSV trace")
     p_fr.add_argument("--trace", required=True, help="trace CSV path")
-    p_fr.add_argument("--threshold", type=float, default=THRESHOLD_FRACTION)
     p_fr.add_argument("--out", default="out")
     p_fr.set_defaults(func=cmd_fringes)
     return parser

@@ -211,14 +211,11 @@ def _median(values: np.ndarray) -> float:
 
 
 def extract_fringes(trace: IntensityTrace,
-                    threshold_fraction: float = THRESHOLD_FRACTION,
                     predicted_spacing: float | None = None) -> FringeReport:
     """Peak positions, fringe spacing and contrast inside the central
     envelope window |t - <t>| <= 1.5 sigma_t of the trace."""
     if len(trace.times) == 0:
         raise DomainError("empty trace")
-    if not 0.0 < threshold_fraction < 1.0:
-        raise DomainError("threshold_fraction must be in (0, 1)")
     t = np.asarray(trace.times, dtype=float)
     y = np.asarray(trace.intensity, dtype=float)
     # a power of two scales exactly, and keeps the sums below finite
@@ -235,7 +232,7 @@ def extract_fringes(trace: IntensityTrace,
     lo, hi = idx[0], idx[-1]
     w_max = float(y[lo:hi + 1].max())
     w_min = float(y[lo:hi + 1].min())
-    threshold = threshold_fraction * w_max
+    threshold = THRESHOLD_FRACTION * w_max
 
     a, b = max(lo, 1), min(hi, len(y) - 2)
     mid = y[a:b + 1]
@@ -259,8 +256,7 @@ def extract_fringes(trace: IntensityTrace,
                         visibility=visibility, relative_error=rel)
 
 
-def outcome_fringes(outcome: TwoGateOutcome, threshold_fraction: float =
-                    THRESHOLD_FRACTION) -> FringeReport:
+def outcome_fringes(outcome: TwoGateOutcome) -> FringeReport:
     """The fringes of a two-gate run. A covariant trace whose interference
     visibility is below MIN_INTERFERENCE_VISIBILITY has none: the peaks
     left in it are the gate envelopes."""
@@ -270,8 +266,7 @@ def outcome_fringes(outcome: TwoGateOutcome, threshold_fraction: float =
         raise NoFringes(f"interference visibility {vis:.3g} is below the "
                         f"floor of {MIN_INTERFERENCE_VISIBILITY}; the peaks "
                         "left are the gate envelopes")
-    return extract_fringes(outcome.trace, threshold_fraction,
-                           outcome.predicted_spacing)
+    return extract_fringes(outcome.trace, outcome.predicted_spacing)
 
 
 SCAN_PARAMS = ("gate_spacing", "flight_distance")
@@ -286,7 +281,6 @@ class ScanRow:
 
 
 def visibility_scan(theory: str, cfg: TwoGateConfig, values,
-                    threshold_fraction: float = THRESHOLD_FRACTION,
                     param: str = "gate_spacing") -> list:
     """Two-gate run and fringe extraction per value of the config field
     param, in input order in the calling thread; per-row failures are
@@ -303,8 +297,7 @@ def visibility_scan(theory: str, cfg: TwoGateConfig, values,
             spacing = None
             err = None
             try:
-                spacing = outcome_fringes(outcome,
-                                          threshold_fraction).spacing_T
+                spacing = outcome_fringes(outcome).spacing_T
             except NoFringes as exc:
                 err = f"NoFringes: {exc}"
             return ScanRow(value=value,

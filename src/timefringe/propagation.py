@@ -51,6 +51,7 @@ STUECKELBERG = "stueckelberg"
 THEORIES = (SCHRODINGER, FLOQUET, STUECKELBERG)
 
 INPUT_SAMPLES_PER_CYCLE = 48   # of the kernel chirp, on every input grid
+MIN_INPUT_SAMPLES = 513  # on every quadrature input grid
 SAMPLES_PER_FEATURE = 12  # of the narrowest intensity feature, on output axes
 MIN_AXIS_SAMPLES = 129
 INPUT_PAD_SIGMAS = 7.5   # input grids: half-width in amplitude widths
@@ -204,6 +205,11 @@ class HamiltonDiagnostics:
     predicted_slope_t: float
 
 
+def _require_positive(name: str, s: float) -> None:
+    if not 0.0 < s < math.inf:  # -0.0 and nan too
+        raise DomainError(f"{name} must be > 0 and finite, got {s:g}")
+
+
 def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
@@ -257,14 +263,14 @@ def _closed_form_axis(comps, moved: list, out, lo: float,
 
 
 def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
-                     n_in: int, mu: float, s: float, k0: float, axis: str,
+                     mu: float, s: float, k0: float, axis: str,
                      at: float | None = None):
     """Propagate the functions sources(u) of one axis by Simpson quadrature
-    over at least n_in samples u of [lo, hi], as many as resolve the kernel
-    chirp (up to MAX_AXIS_SAMPLES): their values on the uniform grid out and
-    the grid norm^2 of their sum before and after. k0 is the largest
+    over at least MIN_INPUT_SAMPLES samples u of [lo, hi], as many as resolve
+    the kernel chirp (up to MAX_AXIS_SAMPLES): their values on the uniform grid
+    out and the grid norm^2 of their sum before and after. k0 is the largest
     wavenumber of the input functions. Given a point at of out's range, the
-    values are the same Simpson sums at that one point instead.
+    values are the same Simpson sums at that point instead.
 
     The Simpson sum sum_j K(out_i - u_j) w_j v_j is evaluated as a chirp-z
     (Bluestein) transform: with out_i = out_0 + i dx, u_j = lo + j h and
@@ -284,7 +290,7 @@ def _quadrature_axis(sources, out: np.ndarray, lo: float, hi: float,
     if not needed < math.inf:
         raise ResolutionError(f"the sample count for wavenumber {k_max:g} "
                               f"over a span of {span:g} leaves the float range")
-    n_in = max(n_in, _odd(math.ceil(needed) + 1))
+    n_in = max(MIN_INPUT_SAMPLES, _odd(math.ceil(needed) + 1))
     if n_in > MAX_AXIS_SAMPLES:
         raise ResolutionError(
             f"resolving the kernel chirp needs n_{axis} = {_count(n_in)} "
@@ -378,7 +384,7 @@ def _spatial_factor(spatial: GaussianSpatialPacket, s: float, engine: str,
     (values,), before, after = _quadrature_axis(
         lambda u: [spatial.amplitude(u)],
         _output_axis(*_auto_axis([moved], "x"), "x") if point else x,
-        spatial.center_x - pad, spatial.center_x + pad, 513, 1.0, s,
+        spatial.center_x - pad, spatial.center_x + pad, 1.0, s,
         abs(spatial.mean_momentum_p0), "x", x if point else None)
     return values, (lo, hi), lambda: (before, after)
 
@@ -387,8 +393,7 @@ def propagate_schrodinger(packet: GaussianSpatialPacket, t_elapsed: float,
                           engine: str = CLOSED_FORM,
                           grid: Grid1D | None = None) -> PropagationResult:
     """Spread-and-drift evolution of the spatial Gaussian by t_elapsed."""
-    if t_elapsed <= 0:
-        raise DomainError("t_elapsed must be > 0")
+    _require_positive("t_elapsed", t_elapsed)
     if engine not in ENGINES:
         raise DomainError(f"engine must be one of {ENGINES}")
     spatial, (lo, hi), norms = _spatial_factor(packet, t_elapsed, engine,
@@ -439,7 +444,7 @@ def _temporal_factor(packet: SpacetimePacket, theory: str, s: float,
     hi = max(g.center_t + INPUT_PAD_SIGMAS * g.width_delta_t
              for g in packet.gates)
     values, before, after = _quadrature_axis(
-        packet.gate_terms, t, lo, hi, 513, mu_t, s,
+        packet.gate_terms, t, lo, hi, mu_t, s,
         abs(packet.mean_energy_E0), "t")
     return values, t, lambda: (before, after)
 
@@ -512,8 +517,7 @@ def propagate_spacetime(packet: SpacetimePacket, theory: str, s: float,
     """Propagate a space-time packet by s under the time-shift (Floquet) or
     covariant (Stueckelberg) theory onto grid, the automatic one when None;
     the field stays rank-1 (_read_field)."""
-    if s <= 0:
-        raise DomainError("s must be > 0")
+    _require_positive("s", s)
     if engine not in ENGINES:
         raise DomainError(f"engine must be one of {ENGINES}")
     spatial, (lo_x, hi_x), t, temporal, norms = _read_field(
@@ -532,6 +536,7 @@ def detector_trace(packet: SpacetimePacket, theory: str, s: float,
     time): the times, the trace and its incoherent reference (no cross
     terms), a function returning the norm^2 before and after, and the engine
     that ran."""
+    _require_positive("s", s)
     if theory == SCHRODINGER:
         return _control_trace(packet, s, engine, x_d)
     x_value, _, times, temporal, norms = _read_field(packet, theory, s,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, DomainError, IoError
-from .experiments import DESK_SCALE, THRESHOLD_FRACTION, TwoGateConfig
+from .experiments import DESK_SCALE, TwoGateConfig
 from .packets import GATE_PROFILES
 from .propagation import ENGINES, STUECKELBERG, THEORIES
 from .units import MOMENTUM_MODELS, SETUP_FIELDS, PhysicalSetup
@@ -27,7 +27,6 @@ _PACKET_DEFAULTS = {key: getattr(DESK_SCALE, key) for key in (
     "spatial_width", "momentum", "gate_width", "gate_spacing",
     "gate_profile")}
 _SIM_DEFAULTS = {"flight_distance": DESK_SCALE.flight_distance}
-_ANALYSIS_DEFAULTS = {"threshold_fraction": THRESHOLD_FRACTION}
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class Scenario:
     setup: dict = field(default_factory=lambda: dict(_SETUP_DEFAULTS))
     packet: dict = field(default_factory=lambda: dict(_PACKET_DEFAULTS))
     sim: dict = field(default_factory=lambda: dict(_SIM_DEFAULTS))
-    analysis: dict = field(default_factory=lambda: dict(_ANALYSIS_DEFAULTS))
 
     def to_dict(self) -> dict:
         """The scenario echo; each section is a shallow copy, because its
@@ -116,8 +114,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     setup = _merge_section("setup", raw.get("setup"), _SETUP_DEFAULTS)
     packet = _merge_section("packet", raw.get("packet"), _PACKET_DEFAULTS)
     sim = _merge_section("sim", raw.get("sim"), _SIM_DEFAULTS)
-    analysis = _merge_section("analysis", raw.get("analysis"),
-                              _ANALYSIS_DEFAULTS)
 
     _require_number("setup", "wavelength_nm", setup["wavelength_nm"],
                     positive=True)
@@ -142,13 +138,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
             f"packet.gate_profile must be one of {GATE_PROFILES}")
     _require_number("sim", "flight_distance", sim["flight_distance"],
                     positive=True)
-    tf = analysis["threshold_fraction"]
-    _require_number("analysis", "threshold_fraction", tf)
-    if not 0.0 < tf < 1.0:
-        raise ConfigError("analysis.threshold_fraction must be in (0, 1)")
 
     return Scenario(theory=theory, engine=engine, setup=setup, packet=packet,
-                    sim=sim, analysis=analysis)
+                    sim=sim)
 
 
 def parse_scenario(path) -> Scenario:

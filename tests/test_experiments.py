@@ -328,6 +328,15 @@ class TestReadDetector:
             detector_trace(build_packet(DESK_SCALE), theory, DESK_SCALE.s_star,
                            engine, 60.0)
 
+    @pytest.mark.parametrize("s", [0.0, -0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("theory", THEORIES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_s_not_a_positive_float_is_domain_error(self, s, theory, engine):
+        # checked before any theory's time rule: the control's too
+        with pytest.raises(DomainError, match=re.escape(
+                f"s must be > 0 and finite, got {s:g}")):
+            detector_trace(build_packet(DESK_SCALE), theory, s, engine, 2.0)
+
     @pytest.mark.parametrize("theory", [FLOQUET, STUECKELBERG])
     @pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
     def test_norm_drift_is_the_field_apis(self, theory, engine):
@@ -602,12 +611,13 @@ def reference_peak_times(trace, threshold_fraction):
 
 @st.composite
 def quantized_traces(draw):
-    """Integer levels 0..8, so that plateaus, ties and samples exactly at
-    the threshold are common. Ends raised to 8 * 2^m pull the window out to
-    samples 0 and n - 1 and move the threshold onto other levels."""
+    """Integer levels 0..10, so that plateaus and ties are common. Ends
+    raised to 10 * 2^m pull the window out to samples 0 and n - 1 and put
+    the threshold, 0.1 of that maximum, exactly on the levels 1, 2, 4, 8
+    (and 16, above them all)."""
     n = draw(st.integers(3, 40))
-    y = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
-    end = draw(st.sampled_from([None, 8, 16, 32, 64, 128]))
+    y = draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+    end = draw(st.sampled_from([None, 10, 20, 40, 80, 160]))
     if end is not None:
         y[0] = y[-1] = end
     steps = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=n,
@@ -616,26 +626,27 @@ def quantized_traces(draw):
                           detector_x=0.0, theory="synthetic")
 
 
-def _peaks_or_reason(find, trace, fraction):
+def _peaks_or_reason(find, trace):
     try:
-        return find(trace, fraction)
+        return find(trace)
     except NoFringes as exc:
         return f"NoFringes: {exc}"
 
 
 class TestExtractFringes:
-    # a plateau at exactly the threshold, 8 = 64 / 8, inside a window that
-    # spans every sample
+    # a plateau at exactly the threshold, 8 = 0.1 * 80, inside a window that
+    # spans every sample: peaks [2.5, 7.0]
     @example(IntensityTrace(times=np.arange(10.0),
-                            intensity=np.array([64.0, 0, 8, 8, 0, 4, 0, 8, 0,
-                                                64]),
-                            detector_x=0.0, theory="synthetic"), 0.125)
+                            intensity=np.array([80.0, 0, 8, 8, 0, 4, 0, 8, 0,
+                                                80]),
+                            detector_x=0.0, theory="synthetic"))
     @settings(max_examples=400, deadline=None)
-    @given(quantized_traces(), st.sampled_from([0.125, 0.25, 0.375, 0.5]))
-    def test_peaks_match_per_sample_reference(self, trace, fraction):
-        got = _peaks_or_reason(
-            lambda tr, f: extract_fringes(tr, f).peak_times, trace, fraction)
-        assert got == _peaks_or_reason(reference_peak_times, trace, fraction)
+    @given(quantized_traces())
+    def test_peaks_match_per_sample_reference(self, trace):
+        got = _peaks_or_reason(lambda tr: extract_fringes(tr).peak_times,
+                               trace)
+        assert got == _peaks_or_reason(
+            lambda tr: reference_peak_times(tr, 0.1), trace)
 
     @control_runs_closed_form
     @pytest.mark.parametrize("theory", THEORIES)
@@ -746,14 +757,12 @@ class TestExtractFringes:
         with pytest.raises(NoFringes):
             extract_fringes(smooth)
 
-    def test_zero_trace_and_bad_threshold(self):
+    def test_zero_trace_has_no_fringes(self):
         t = np.linspace(0.0, 1.0, 101)
         zero = IntensityTrace(times=t, intensity=np.zeros_like(t),
                               detector_x=0.0, theory="synthetic")
         with pytest.raises(NoFringes):
             extract_fringes(zero)
-        with pytest.raises(DomainError):
-            extract_fringes(planted_trace(), threshold_fraction=1.5)
 
     def test_trace_validation(self):
         with pytest.raises(DomainError):
@@ -794,13 +803,11 @@ class TestVisibilityScan:
         ("flight_distance", [3.0, 2.0]),
     ])
     def test_rows_equal_direct_runs(self, param, values):
-        rows = visibility_scan(STUECKELBERG, DESK_SCALE, values, 0.1,
-                               param=param)
+        rows = visibility_scan(STUECKELBERG, DESK_SCALE, values, param=param)
         for row, value in zip(rows, values, strict=True):
             outcome = two_gate_run(STUECKELBERG,
                                    replace(DESK_SCALE, **{param: value}))
-            report = extract_fringes(outcome.trace, 0.1,
-                                     outcome.predicted_spacing)
+            report = extract_fringes(outcome.trace, outcome.predicted_spacing)
             assert row.value == value
             assert row.visibility == outcome.interference_visibility
             assert row.spacing_T == report.spacing_T

@@ -117,4 +117,4 @@ def test_hashlib_fallback_gives_the_same_scenario_hash():
                     "print(cli.sha256.__module__)\n"
                     "print(cli._scenario_hash(Scenario().to_dict()))\n")
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["_hashlib", "11c8650213a2ceec"]
+    assert run.stdout.split() == ["_hashlib", "dedadeb708a9a1b1"]

@@ -15,7 +15,7 @@ from timefringe.packets import (GaussianSpatialPacket, Grid1D,
 from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
                                     SCHRODINGER, STUECKELBERG,
                                     GaussianComponent1D,
-                                    _quadrature_axis,
+                                    MIN_INPUT_SAMPLES, _quadrature_axis,
                                     auto_output_grid, axis_prefactor,
                                     component_overlap, gate_component,
                                     gaussian_component, hamilton_diagnostics,
@@ -24,6 +24,7 @@ from timefringe.propagation import (CLOSED_FORM, FLOQUET, QUADRATURE,
                                     propagate_stueckelberg, spatial_component)
 
 MASS = 1.0
+NOT_POSITIVE_FLOATS = (-1.0, 0.0, -0.0, math.inf, math.nan)
 
 
 def two_gate_packet(spacing=12.0, gate_width=0.5, spatial_width=5.0,
@@ -69,7 +70,8 @@ class TestSchrodinger:
 
     def test_rejects_negative_time_and_bad_engine(self):
         pk = GaussianSpatialPacket()
-        for t in (-1.0, 0.0):  # like propagate_spacetime at s <= 0
+        # like propagate_spacetime at an s that is not a positive float
+        for t in NOT_POSITIVE_FLOATS:
             with pytest.raises(DomainError, match="t_elapsed must be > 0"):
                 propagate_schrodinger(pk, t)
         with pytest.raises(DomainError):
@@ -104,8 +106,9 @@ class TestFloquet:
         assert rel_l2(qd.field, cf.field) < 1e-6
 
     def test_rejects_nonpositive_shift(self):
-        with pytest.raises(DomainError):
-            propagate_floquet(two_gate_packet(), 0.0)
+        for s in NOT_POSITIVE_FLOATS:
+            with pytest.raises(DomainError, match="s must be > 0 and finite"):
+                propagate_floquet(two_gate_packet(), s, QUADRATURE)
 
     def test_drift_slope_is_unity(self):
         diag = hamilton_diagnostics(two_gate_packet(), FLOQUET,
@@ -162,8 +165,9 @@ class TestStueckelberg:
         assert math.sqrt(var_t) == pytest.approx(expected, rel=1e-3)
 
     def test_rejects_nonpositive_parameter(self):
-        with pytest.raises(DomainError):
-            propagate_stueckelberg(two_gate_packet(), -2.0)
+        for s in NOT_POSITIVE_FLOATS:
+            with pytest.raises(DomainError, match="s must be > 0 and finite"):
+                propagate_stueckelberg(two_gate_packet(), s, QUADRATURE)
 
 
 @pytest.mark.parametrize("engine", [CLOSED_FORM, QUADRATURE])
@@ -208,22 +212,23 @@ class TestHamiltonMoments:
 
 
 class TestQuadratureAxis:
-    @pytest.mark.parametrize("out,n_in,mu,s,centers", [
-        (np.linspace(-8.0, 10.0, 301), 201, 1.0, 20.0, [0.0]),   # n_out > n_in
-        (np.linspace(-3.0, 4.0, 97), 401, -1.0, 20.0, [0.0]),    # n_out < n_in
-        (np.linspace(40.0, 60.0, 257), 301, 1.0, 50.0, [0.0]),   # far away
-        # two sources; n_out + n_in - 1 = 513 needs an FFT of length 1024
-        (np.linspace(-6.0, 9.0, 257), 257, -1.0, 30.0, [-1.5, 2.0]),
+    # these chirps need fewer input samples than the MIN_INPUT_SAMPLES taken
+    @pytest.mark.parametrize("out,mu,s,centers", [
+        (np.linspace(-8.0, 10.0, 801), 1.0, 20.0, [0.0]),   # n_out > n_in
+        (np.linspace(-3.0, 4.0, 97), -1.0, 20.0, [0.0]),    # n_out < n_in
+        (np.linspace(40.0, 60.0, 257), 1.0, 50.0, [0.0]),   # far away
+        # two sources; n_out + n_in - 1 = 1025 needs an FFT of length 2048
+        (np.linspace(-6.0, 9.0, 513), -1.0, 30.0, [-1.5, 2.0]),
     ])
-    def test_matches_dense_simpson_sum(self, out, n_in, mu, s, centers):
-        lo, hi, k0 = -5.0, 5.0, 1.0
+    def test_matches_dense_simpson_sum(self, out, mu, s, centers):
+        lo, hi, k0, n_in = -5.0, 5.0, 1.0, MIN_INPUT_SAMPLES
 
         def sources(u):
             return [np.exp(-(u - c) ** 2 / 2.0 + 1j * k0 * u)
                     for c in centers]
 
         values, before, after = _quadrature_axis(
-            sources, out, lo, hi, n_in, mu, s, k0, "x")
+            sources, out, lo, hi, mu, s, k0, "x")
         u = np.linspace(lo, hi, n_in)
         w_in = simpson_weights(n_in, u[1] - u[0])
         kernel = axis_prefactor(mu, s) * np.exp(

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import sys
 import threading
 import warnings
 from dataclasses import fields
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
@@ -68,13 +70,13 @@ class TestScenarioSchema:
     def test_default_echo_and_hash_are_pinned(self, tmp_path):
         # every report carries the scenario echo and its hash, which the
         # trace figure carries too
-        echo = ('{"analysis": {"threshold_fraction": 0.1}, "engine": '
-                '"closed_form", "packet": {"gate_profile": "gaussian", '
-                '"gate_spacing": 12.0, "gate_width": 0.5, "momentum": 0.2, '
-                '"spatial_width": 5.0}, "setup": {"flight_distance_m": 0.01, '
-                '"momentum_model": "nonrelativistic", "photon_count": 300, '
-                '"wavelength_nm": 850.0}, "sim": {"flight_distance": 2.0}, '
-                '"theory": "stueckelberg"}')
+        echo = ('{"engine": "closed_form", "packet": {"gate_profile": '
+                '"gaussian", "gate_spacing": 12.0, "gate_width": 0.5, '
+                '"momentum": 0.2, "spatial_width": 5.0}, "setup": '
+                '{"flight_distance_m": 0.01, "momentum_model": '
+                '"nonrelativistic", "photon_count": 300, "wavelength_nm": '
+                '850.0}, "sim": {"flight_distance": 2.0}, "theory": '
+                '"stueckelberg"}')
         assert json.dumps(Scenario().to_dict(), sort_keys=True) == echo
         for argv in (["simulate"], ["estimate"],
                      ["scan", "--param", "gate_spacing", "--values", "12,18"]):
@@ -82,12 +84,12 @@ class TestScenarioSchema:
             assert main([*argv, "--out", str(out)]) == 0
             text = (out / "report.json").read_text()
             report = json.loads(text)
-            assert report["scenario_hash"] == "11c8650213a2ceec"
+            assert report["scenario_hash"] == "dedadeb708a9a1b1"
             assert json.dumps(report["scenario"], sort_keys=True) == echo
             # the echo is written as to_json() writes it, one level deeper
             assert ('"scenario": ' + Scenario().to_json().replace("\n", "\n  ")
                     in text)
-        assert ("scenario-sha256:11c8650213a2ceec"
+        assert ("scenario-sha256:dedadeb708a9a1b1"
                 in (tmp_path / "simulate" / "trace.svg").read_text())
 
     @pytest.mark.parametrize("raw", [
@@ -104,6 +106,31 @@ class TestScenarioSchema:
     def test_defaults_are_the_configs_defaults(self):
         assert Scenario().two_gate_config() == DESK_SCALE
         assert Scenario().physical_setup() == PhysicalSetup()
+
+    def test_readme_table_is_the_schema(self):
+        # the README's scenario table lists every key the schema takes, each
+        # with the default a run uses, and no other key
+        lines = iter((Path(__file__).parents[1] / "README.md")
+                     .read_text().splitlines())
+        for line in lines:
+            if line == "| key | default | sets |":
+                break
+        next(lines)  # |---|---|---|
+        table = {}
+        for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines):
+            key, default = (cell.strip().strip("`")
+                            for cell in line.split("|")[1:3])
+            table[key] = json.loads(default)
+        echo = {}
+        for name, value in Scenario().to_dict().items():
+            echo.update({f"{name}.{k}": v for k, v in value.items()}
+                        if isinstance(value, dict) else {name: value})
+        assert ({k: (type(v), v) for k, v in table.items()}
+                == {k: (type(v), v) for k, v in echo.items()})
+        for key, default in table.items():
+            section, _, name = key.rpartition(".")
+            raw = {section: {name: default}} if section else {name: default}
+            assert scenario_from_dict(raw) == Scenario()
 
     def test_echo_sections_are_copies(self):
         sc = Scenario()
@@ -134,8 +161,6 @@ class TestScenarioSchema:
             scenario_from_dict({"packet": {"momentum": -0.2}})
         with pytest.raises(ConfigError, match="photon_count"):
             scenario_from_dict({"setup": {"photon_count": 1.5}})
-        with pytest.raises(ConfigError, match="threshold_fraction"):
-            scenario_from_dict({"analysis": {"threshold_fraction": 0.0}})
         with pytest.raises(ConfigError, match="theory"):
             scenario_from_dict({"theory": "bohmian"})
 
@@ -166,8 +191,8 @@ class TestScenarioSchema:
     def test_removed_scales_block_is_rejected(self, tmp_path, capsys):
         # so are the setup keys that no computation read, and the grid
         # block in any form, which no scenario needed: every axis sizes
-        # itself. A deleted key has no successor, so no live key is
-        # suggested for it
+        # itself; and the analysis section, whose peak threshold is fixed.
+        # A deleted key has no successor, so no live key is suggested for it
         for raw, key in [
                 ({"scales": {"length_scale": 1.0, "time_scale": 1.0,
                              "mass_scale": 1.0}}, "scales"),
@@ -180,7 +205,9 @@ class TestScenarioSchema:
                 ({"sim": {"detector_x": 5.0}}, "sim.detector_x"),
                 ({"packet": {"spatial_center": 1.0}}, "packet.spatial_center"),
                 ({"packet": {"carrier_energy": 2.0}},
-                 "packet.carrier_energy")]:
+                 "packet.carrier_energy"),
+                ({"analysis": {"threshold_fraction": 0.1}}, "analysis"),
+                ({"analysis": {}}, "analysis")]:
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 scenario_from_dict(raw)
             sc = tmp_path / "sc.json"
@@ -949,29 +976,19 @@ class TestCliFringes:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    def test_default_threshold_is_the_scenarios(self, tmp_path, monkeypatch):
-        used = []
-
-        def spy(trace, threshold_fraction):
-            used.append(threshold_fraction)
-            return extract(trace, threshold_fraction)
-        extract = cli.extract_fringes
-        monkeypatch.setattr(cli, "extract_fringes", spy)
-        assert main(["simulate", "--out", str(tmp_path / "sim")]) == 0
-        assert main(["fringes", "--trace", str(tmp_path / "sim" / "trace.csv"),
-                     "--out", str(tmp_path / "fr")]) == 0
-        assert used == [Scenario().analysis["threshold_fraction"]]
-
-    @pytest.mark.parametrize("value", ["1.5", "-1", "nan"])
-    def test_threshold_outside_unit_interval_is_config_error(
-            self, tmp_path, capsys, value):
-        # as analysis.threshold_fraction is; no output directory is made
+    @pytest.mark.parametrize("value", ["0.2", "0.1", "1.5"])
+    def test_threshold_option_is_gone(self, tmp_path, capsys, value):
+        # the peak threshold is fixed at 0.1: argparse exits 2 on the
+        # option, before any output directory is made
         trace = tmp_path / "trace.csv"
         trace.write_text("t,intensity\n0.0,1.0\n0.5,2.0\n1.0,1.0\n")
         out = tmp_path / "out"
-        assert main(["fringes", "--trace", str(trace), "--threshold", value,
-                     "--out", str(out)]) == 2
-        assert "--threshold must be in (0, 1)" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["fringes", "--trace", str(trace), "--threshold", value,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --threshold"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("peak", [2e307, 1.75e308, sys.float_info.max])
